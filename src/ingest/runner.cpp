@@ -1,6 +1,7 @@
 #include "ingest/runner.h"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -86,10 +87,17 @@ struct HealthState {
 };
 
 /// The ingest process's answer to `mapit supervise` liveness probes: one
-/// connection at a time, read one request line (bounded by a receive
-/// timeout so a wedged prober cannot pin the thread), answer a single
-/// status line, close. Deliberately minimal — probes are rare and tiny,
-/// and the real intake has its own socket.
+/// connection at a time, read one request line, answer a single status
+/// line, close. Deliberately minimal — probes are rare and tiny, and the
+/// real intake has its own socket.
+///
+/// Connections are served strictly in turn, so the wait for a request
+/// line is what a silent peer costs every probe queued behind it. The
+/// line's content is ignored anyway, so the whole wait is bounded far
+/// below the supervisor's probe budget (1 s by default): a peer that
+/// connects and says nothing, or trickles bytes without a newline, gets
+/// the status line after kRequestWait, and the probe behind it is
+/// answered in time.
 class HealthEndpoint {
  public:
   HealthEndpoint(std::uint16_t port, const HealthState& state, fault::Io& io)
@@ -130,14 +138,21 @@ class HealthEndpoint {
     }
   }
 
+  /// Longest wait for a request line before answering regardless.
+  static constexpr std::chrono::microseconds kRequestWait{100'000};
+
   void answer(int fd) {
-    struct ::timeval timeout{2, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                       sizeof(timeout));
+    const Clock::time_point deadline = Clock::now() + kRequestWait;
     char buffer[256];
     std::string request;
     while (request.find('\n') == std::string::npos &&
            request.size() < sizeof(buffer)) {
+      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+          deadline - Clock::now());
+      if (left.count() <= 0) break;
+      struct ::timeval timeout{0, static_cast<::suseconds_t>(left.count())};
+      (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout));
       const ssize_t n = io_->recv(fd, buffer, sizeof(buffer), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;  // EOF, timeout, or error: answer what we can
@@ -474,16 +489,6 @@ IngestStats run_ingest(const IngestOptions& options,
                    << fingerprint_hex << "\n";
     }
   }
-  std::optional<IngestSocket> socket;
-  if (options.listen_plain_port >= 0) {
-    socket.emplace(static_cast<std::uint16_t>(options.listen_plain_port),
-                   65536, io);
-    stats.listen_plain_port = socket->port();
-    if (options.log != nullptr) {
-      *options.log << "ingest: listening (plaintext) on 127.0.0.1:"
-                   << socket->port() << "\n";
-    }
-  }
 
   std::vector<SourceLine> incoming;
   std::vector<PendingLine> pending;
@@ -676,8 +681,8 @@ IngestStats run_ingest(const IngestOptions& options,
     incoming.clear();
     std::size_t arrived = 0;
     // While a flush is parked degraded, keep accepting input only up to
-    // the backlog bound; past it the tailer holds position and the ingest
-    // socket's queue fills, throttling producers through TCP.
+    // the backlog bound; past it the tailer holds position (remote
+    // senders are throttled by their inflight quota below).
     const bool backlogged =
         flush.stage != Stage::kIdle && pending.size() >= backlog_cap;
     // Remote batches: retry any parked journal write, then drain fresh
@@ -696,10 +701,7 @@ IngestStats run_ingest(const IngestOptions& options,
         if (!remote_backlog.empty()) (void)attempt_remote();
       }
     }
-    if (!backlogged) {
-      if (tailer) arrived += tailer->poll(incoming);
-      if (socket) arrived += socket->drain(incoming);
-    }
+    if (!backlogged && tailer) arrived += tailer->poll(incoming);
     for (SourceLine& source_line : incoming) {
       ++delta_line_no;
       const std::string& line = source_line.line;
@@ -714,11 +716,7 @@ IngestStats run_ingest(const IngestOptions& options,
         delta_report.add_loaded(1);
       } catch (const Error& error) {
         if (!options.lenient) throw;
-        delta_report.record(delta_line_no,
-                            source_line.offset == core::kNoSourceOffset
-                                ? 0
-                                : source_line.offset,
-                            error.what());
+        delta_report.record(delta_line_no, source_line.offset, error.what());
       }
     }
     stats.quarantined = delta_report.skipped();
@@ -766,7 +764,6 @@ IngestStats run_ingest(const IngestOptions& options,
     }
   }
 
-  if (socket) stats.source_rearms = socket->rearms();
   // Duplicates are dropped at two levels: connection threads re-ACK
   // batches already at-or-below the durable watermark (the common resend
   // path), and attempt_remote catches the race where the duplicate was

@@ -1,9 +1,7 @@
 // MDP1: the framed, authenticated delta transport for remote ingestion.
 //
-// The legacy IngestSocket (source.h) accepts raw newline-delimited lines
-// from anyone who can reach the port and loses track of what arrived when
-// a connection dies. MDP1 replaces it for remote monitors with a protocol
-// that survives sender crashes, receiver crashes, partitions, and
+// MDP1 carries delta lines from remote monitors (`mapit send`) with a
+// protocol that survives sender crashes, receiver crashes, partitions, and
 // duplicate delivery without ever violating the byte-identical-to-cold-run
 // invariant:
 //
@@ -42,7 +40,7 @@
 // Liveness: both ends send HEARTBEAT frames when idle and enforce a read
 // deadline; a peer that goes silent is closed (server) or reconnected to
 // (client). Per-connection inflight quotas bound unACKed batches, so a
-// fast sender is throttled by TCP backpressure like the plain socket.
+// fast sender is throttled by TCP backpressure.
 #pragma once
 
 #include <array>
@@ -88,7 +86,7 @@ inline constexpr std::uint32_t kTransportVersion = 1;
 inline constexpr std::size_t kTransportFrameSize = 12;
 /// Sanity cap on one frame payload; a larger size field is corruption.
 inline constexpr std::uint32_t kMaxTransportPayload = 4u << 20;
-/// Cap on one trace line inside a BATCH (same bound the plain socket uses).
+/// Cap on one trace line inside a BATCH.
 inline constexpr std::uint32_t kMaxTransportLine = 1u << 20;
 inline constexpr std::size_t kTransportNonceSize = 16;
 inline constexpr std::size_t kTransportMacSize = 32;
@@ -253,7 +251,7 @@ struct TransportServerOptions {
   std::string secret;      ///< shared HMAC secret (required)
   core::CheckpointMeta meta;  ///< base run the handshake pins
   /// Global bound on accepted-but-not-yet-journaled batches; past it the
-  /// reader threads block (TCP backpressure), same as the plain socket.
+  /// reader threads block (TCP backpressure).
   std::size_t max_queued_batches = 256;
   /// Per-connection bound on unACKed batches (the inflight quota).
   std::size_t max_inflight_batches = 8;
@@ -272,8 +270,8 @@ struct ReceivedBatch {
   std::vector<std::string> lines;
 };
 
-/// The MDP1 listener: accept thread plus one reader thread per connection,
-/// mirroring IngestSocket's lifecycle (bounded queue, clean shutdown).
+/// The MDP1 listener: accept thread plus one reader thread per connection
+/// (bounded queue, clean shutdown).
 /// The ingest loop drains batches, journals + fsyncs them, then calls
 /// ack() — the server itself never touches the journal.
 class TransportServer {

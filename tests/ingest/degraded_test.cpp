@@ -90,14 +90,10 @@ int pick_port() {
   return static_cast<int>(ntohs(addr.sin_port));
 }
 
-/// One HEALTH round trip against the ingest health endpoint. Empty string
-/// when the endpoint is not answering (yet).
-std::string query_health(int port) {
+/// A loopback connection to `port`, -1 when nothing is listening.
+int connect_to(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  struct ::timeval timeout{};
-  timeout.tv_sec = 2;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (fd < 0) return -1;
   struct ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -105,8 +101,22 @@ std::string query_health(int port) {
   if (::connect(fd, reinterpret_cast<struct ::sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// One HEALTH round trip against the ingest health endpoint, waiting at
+/// most `budget` for the answer. Empty string when the endpoint is not
+/// answering (yet) or answers too late.
+std::string query_health(int port,
+                         std::chrono::microseconds budget = 2s) {
+  const int fd = connect_to(port);
+  if (fd < 0) return "";
+  struct ::timeval timeout{};
+  timeout.tv_sec = static_cast<::time_t>(budget.count() / 1'000'000);
+  timeout.tv_usec = static_cast<::suseconds_t>(budget.count() % 1'000'000);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   const char kProbe[] = "HEALTH\n";
   if (::send(fd, kProbe, sizeof(kProbe) - 1, MSG_NOSIGNAL) !=
       static_cast<ssize_t>(sizeof(kProbe) - 1)) {
@@ -398,6 +408,44 @@ TEST_F(DegradedIngestTest, HealthEndpointReportsDegradedWhileParked) {
   EXPECT_EQ(reply.find(" last_error=none"), std::string::npos) << reply;
   EXPECT_GE(stats.degraded_entries, 1u);
   EXPECT_EQ(stats.health_port, static_cast<std::uint16_t>(port));
+}
+
+// A peer that connects to the HEALTH port and never sends its request
+// line must not cost the probe behind it its budget: the endpoint serves
+// one connection at a time, and `mapit supervise` SIGKILLs a worker after
+// probe_misses (default 3) probes that each got no answer within
+// probe_timeout_s (default 1 s) — three silent peers would get a healthy
+// ingest process killed.
+TEST_F(DegradedIngestTest, SilentPeerDoesNotStallTheHealthProbe) {
+  ingest::IngestOptions opts = options();
+  write_lines(follow_path_, {});
+  fresh_state(opts);
+  const int port = pick_port();
+  ASSERT_GT(port, 0);
+  opts.drain = false;
+  opts.poll_interval = 0.02;
+  opts.health_port = port;
+
+  std::atomic<bool> stop{false};
+  std::thread runner([&] { (void)ingest::run_ingest(opts, &stop); });
+  std::string ready;
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (ready.empty() && std::chrono::steady_clock::now() < deadline) {
+    ready = query_health(port);
+    if (ready.empty()) std::this_thread::sleep_for(20ms);
+  }
+
+  const int silent = connect_to(port);
+  const std::string reply = query_health(port, 1s);
+  if (silent >= 0) ::close(silent);
+  stop.store(true);
+  runner.join();
+
+  ASSERT_EQ(ready.rfind("OK ", 0), 0u) << "health endpoint never answered";
+  EXPECT_GE(silent, 0);
+  EXPECT_EQ(reply.rfind("OK ", 0), 0u)
+      << "a silent peer stalled the probe past its 1 s budget: '" << reply
+      << "'";
 }
 
 }  // namespace

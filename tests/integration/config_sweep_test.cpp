@@ -4,6 +4,7 @@
 // exact-truth network.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "baselines/claims.h"
@@ -16,6 +17,12 @@ struct SweepCase {
   const char* name;
   void (*tweak)(eval::ExperimentConfig&);
 };
+
+// Prints a case by name. gtest's default byte dump would show the string
+// and function addresses, which move with every build and every load.
+void PrintTo(const SweepCase& sweep_case, std::ostream* os) {
+  *os << sweep_case.name;
+}
 
 void all_slash31(eval::ExperimentConfig& c) {
   c.topology.slash31_prob = 1.0;

@@ -48,7 +48,7 @@
 #                 require byte-identical inferences vs an uninterrupted
 #                 run; also checks the deadline checkpoint-and-exit path
 #                 (default: FAULT_MATRIX)
-#   ASYNC_SMOKE   1 = boot `mapit serve --async` on a real snapshot and
+#   ASYNC_SMOKE   1 = boot `mapit serve` on a real snapshot and
 #                 replay the canned query batch over both wire protocols
 #                 (line and binary), diffing each response stream against
 #                 the committed golden answers; ends with a SIGTERM
@@ -337,7 +337,7 @@ stage_async() {
   # Boot the epoll event-loop server through the real binary and replay the
   # canned query batch over BOTH wire protocols. The line-protocol response
   # must be byte-identical to the committed golden answers — the same bytes
-  # `mapit query` and the blocking server produce — and the binary-protocol
+  # `mapit query` produces — and the binary-protocol
   # frame payloads must reassemble to the same file. SIGTERM at the end
   # must drain gracefully (exit 0), not kill the loop mid-answer.
   local mapit_bin="${BUILD_DIR}/tools/mapit"
@@ -351,7 +351,7 @@ stage_async() {
     --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
     --out "${work}/snapshot.bin"
 
-  "${mapit_bin}" serve "${work}/snapshot.bin" --async --reuseport \
+  "${mapit_bin}" serve "${work}/snapshot.bin" --reuseport \
     --backlog 512 2> "${work}/serve.log" &
   local serve_pid=$!
   trap 'kill "${serve_pid}" 2>/dev/null || true; print_stage_table' EXIT
@@ -611,7 +611,8 @@ stage_remote() {
 stage_supervise() {
   echo "== supervise self-healing smoke =="
   # Boot a supervised fleet — two `serve --async --reuseport` workers
-  # sharing one port — then kill -9 one worker mid-replay. The replay
+  # sharing one port (--async is an accepted no-op; the fleet keeps it to
+  # pin that old specs still start) — then kill -9 one worker mid-replay. The replay
   # retries transient connection errors (a reset is exactly what a killed
   # worker's in-flight connections see) but treats any WRONG bytes as a
   # hard failure: the surviving worker must keep answering the golden

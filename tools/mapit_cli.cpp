@@ -134,20 +134,17 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "        lookup <addr> <f|b> | addr <addr> | ip2as <addr> [f|b]\n"
       "        | links <asn> <asn> | stats\n"
       "  mapit serve SNAPSHOT [--port N] [server options]\n"
-      "      TCP server for the same line protocol on 127.0.0.1:N\n"
-      "      (default: an ephemeral port, printed on stderr)\n"
-      "      --async                epoll event-loop server instead of the\n"
-      "                             thread-per-connection one; also speaks\n"
-      "                             the length-prefixed binary protocol\n"
-      "                             (connections starting with \"MQB1\")\n"
+      "      epoll TCP server for the same line protocol on 127.0.0.1:N\n"
+      "      (default: an ephemeral port, printed on stderr); also speaks\n"
+      "      the length-prefixed binary protocol (connections starting\n"
+      "      with \"MQB1\")\n"
+      "      --async                accepted and ignored (the event-loop\n"
+      "                             server is the only server)\n"
       "      --reuseport            SO_REUSEPORT: run N processes on one\n"
       "                             port, kernel load-balances connections\n"
       "      --backlog N            listen(2) backlog (default: SOMAXCONN)\n"
       "      --idle-timeout SECS    close connections idle this long\n"
       "                             (default 300, 0 = never)\n"
-      "      --send-timeout SECS    drop a connection whose blocked send\n"
-      "                             stalls this long (blocking server only;\n"
-      "                             default: --idle-timeout)\n"
       "      --max-connections N    refuse clients past N live connections\n"
       "                             with an ERR line (default 256)\n"
       "      --max-line BYTES       answer ERR to longer request lines\n"
@@ -178,9 +175,6 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "                             fingerprint); requires --secret-file;\n"
       "                             non-MDP1 bytes are refused with one ERR\n"
       "                             line and a clean close\n"
-      "      --listen-plain PORT    legacy loopback listener: raw newline-\n"
-      "                             delimited delta lines, no auth, no\n"
-      "                             delivery guarantees across disconnects\n"
       "      --secret-file FILE     shared HMAC secret for --listen\n"
       "                             (trailing newline stripped)\n"
       "      --heartbeat SECS       MDP1 idle heartbeat cadence (default 2;\n"
@@ -828,15 +822,6 @@ int cmd_serve(Args& args) {
     }
     server_options.max_line_bytes = *parsed;
   }
-  if (const auto value = args.value("--send-timeout")) {
-    const auto parsed = parse_bounded(*value, 86400);
-    if (!parsed) {
-      std::cerr << "--send-timeout expects seconds in [0, 86400], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.send_timeout = std::chrono::seconds(*parsed);
-  }
   if (const auto value = args.value("--backlog")) {
     const auto parsed = parse_bounded(*value, 65536);
     if (!parsed || *parsed == 0) {
@@ -856,7 +841,9 @@ int cmd_serve(Args& args) {
     server_options.max_inflight_bytes = *parsed;
   }
   server_options.reuse_port = args.flag("--reuseport");
-  const bool use_async = args.flag("--async");
+  // Accepted for old command lines and fleet specs; the event-loop server
+  // is the only server.
+  (void)args.flag("--async");
   unsigned long watch_interval = 2;
   if (const auto value = args.value("--watch-interval")) {
     const auto parsed = parse_bounded(*value, 86400);
@@ -870,88 +857,79 @@ int cmd_serve(Args& args) {
   args.reject_unknown();
 
   query::SnapshotHub hub(*snapshot_path);
-  // Both servers expose the same surface; run whichever under the same
-  // signal-drain scaffolding.
-  const auto run = [&](auto& server) {
-    {
-      const auto snapshot = hub.current();
-      std::cerr << "serving " << *snapshot_path << " on 127.0.0.1:"
-                << server.port() << (use_async ? " (async)" : "") << " ("
-                << snapshot->reader.inferences().size()
-                << " inference records, " << snapshot->reader.size_bytes()
-                << " bytes mmap'd)\n";
-    }
+  query::AsyncServer server(hub, server_options);
+  {
+    const auto snapshot = hub.current();
+    std::cerr << "serving " << *snapshot_path << " on 127.0.0.1:"
+              << server.port() << " ("
+              << snapshot->reader.inferences().size()
+              << " inference records, " << snapshot->reader.size_bytes()
+              << " bytes mmap'd)\n";
+  }
 
-    // The watcher polls the snapshot path and hot-swaps new versions in;
-    // running queries keep their pinned generation, new batches see the
-    // fresh one. A snapshot that fails to validate keeps the old one.
-    std::atomic<bool> watch_stop{false};
-    std::thread watcher;
-    if (watch_interval > 0) {
-      watcher = std::thread([&] {
-        while (!watch_stop.load()) {
-          for (unsigned long slept = 0;
-               slept < watch_interval * 10 && !watch_stop.load(); ++slept) {
-            std::this_thread::sleep_for(std::chrono::milliseconds{100});
-          }
-          if (watch_stop.load()) break;
-          if (hub.refresh()) {
-            std::cerr << "snapshot replaced; now serving generation "
-                      << hub.current()->generation << "\n";
-          }
+  // The watcher polls the snapshot path and hot-swaps new versions in;
+  // running queries keep their pinned generation, new batches see the
+  // fresh one. A snapshot that fails to validate keeps the old one.
+  std::atomic<bool> watch_stop{false};
+  std::thread watcher;
+  if (watch_interval > 0) {
+    watcher = std::thread([&] {
+      while (!watch_stop.load()) {
+        for (unsigned long slept = 0;
+             slept < watch_interval * 10 && !watch_stop.load(); ++slept) {
+          std::this_thread::sleep_for(std::chrono::milliseconds{100});
         }
-      });
-    }
-
-    // SIGTERM/SIGINT drain the server gracefully (in-flight batches are
-    // answered, then connections close) instead of killing it mid-send.
-    // SIGHUP forces an immediate snapshot re-check (the operator just
-    // republished and does not want to wait out --watch-interval). The
-    // drain thread blocks on the signal guard's self-pipe; when
-    // serve_forever() returns for any other reason, `done` + wake() send
-    // it home — `done` first, because a SIGHUP can consume the wake byte.
-    core::SignalGuard signals;
-    std::atomic<bool> done{false};
-    std::thread drain([&] {
-      std::uint64_t seen_hups = 0;
-      while (true) {
-        const int signal_number = signals.wait();
-        if (signal_number != 0) {
-          std::cerr << "received "
-                    << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
-                    << ", draining connections...\n";
-          server.stop();
-          return;
-        }
-        if (done.load()) return;
-        const std::uint64_t hups = core::SignalGuard::hup_count();
-        if (hups != seen_hups) {
-          seen_hups = hups;
-          std::cerr << "received SIGHUP, re-checking snapshot...\n";
-          if (hub.refresh()) {
-            std::cerr << "snapshot replaced; now serving generation "
-                      << hub.current()->generation << "\n";
-          }
+        if (watch_stop.load()) break;
+        if (hub.refresh()) {
+          std::cerr << "snapshot replaced; now serving generation "
+                    << hub.current()->generation << "\n";
         }
       }
     });
-    server.serve_forever();
-    done.store(true);
-    signals.wake();
-    drain.join();
-    watch_stop.store(true);
-    if (watcher.joinable()) watcher.join();
-    if (core::SignalGuard::signal_received() != 0) {
-      std::cerr << "drained; exiting\n";
-    }
-    return kExitOk;
-  };
-  if (use_async) {
-    query::AsyncServer server(hub, server_options);
-    return run(server);
   }
-  query::LineServer server(hub, server_options);
-  return run(server);
+
+  // SIGTERM/SIGINT drain the server gracefully (in-flight batches are
+  // answered, then connections close) instead of killing it mid-send.
+  // SIGHUP forces an immediate snapshot re-check (the operator just
+  // republished and does not want to wait out --watch-interval). The
+  // drain thread blocks on the signal guard's self-pipe; when
+  // serve_forever() returns for any other reason, `done` + wake() send
+  // it home — `done` first, because a SIGHUP can consume the wake byte.
+  core::SignalGuard signals;
+  std::atomic<bool> done{false};
+  std::thread drain([&] {
+    std::uint64_t seen_hups = 0;
+    while (true) {
+      const int signal_number = signals.wait();
+      if (signal_number != 0) {
+        std::cerr << "received "
+                  << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
+                  << ", draining connections...\n";
+        server.stop();
+        return;
+      }
+      if (done.load()) return;
+      const std::uint64_t hups = core::SignalGuard::hup_count();
+      if (hups != seen_hups) {
+        seen_hups = hups;
+        std::cerr << "received SIGHUP, re-checking snapshot...\n";
+        if (hub.refresh()) {
+          std::cerr << "snapshot replaced; now serving generation "
+                    << hub.current()->generation << "\n";
+        }
+      }
+    }
+  });
+  server.serve_forever();
+  done.store(true);
+  signals.wake();
+  drain.join();
+  watch_stop.store(true);
+  if (watcher.joinable()) watcher.join();
+  if (core::SignalGuard::signal_received() != 0) {
+    std::cerr << "drained; exiting\n";
+  }
+  return kExitOk;
 }
 
 int cmd_ingest(Args& args) {
@@ -985,15 +963,6 @@ int cmd_ingest(Args& args) {
       return kExitUsage;
     }
     options.listen_port = static_cast<int>(*parsed);
-  }
-  if (const auto value = args.value("--listen-plain")) {
-    const auto parsed = parse_bounded(*value, 65535);
-    if (!parsed) {
-      std::cerr << "--listen-plain expects a port in [0, 65535], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.listen_plain_port = static_cast<int>(*parsed);
   }
   if (const auto value = args.value("--secret-file")) {
     options.secret = read_secret_or_die(*value);
@@ -1064,14 +1033,13 @@ int cmd_ingest(Args& args) {
   args.reject_unknown();
   if (options.listen_port >= 0 && options.secret.empty()) {
     std::cerr << "ingest: --listen speaks the authenticated MDP1 transport "
-                 "and requires --secret-file; use --listen-plain for the "
-                 "legacy loopback line protocol\n";
+                 "and requires --secret-file\n";
     usage(kExitUsage);
   }
   if (options.follow_path.empty() && options.listen_port < 0 &&
-      options.listen_plain_port < 0 && !options.drain) {
-    std::cerr << "ingest: need --follow, --listen and/or --listen-plain "
-                 "(or --drain to just replay the journal and republish)\n";
+      !options.drain) {
+    std::cerr << "ingest: need --follow and/or --listen (or --drain to "
+                 "just replay the journal and republish)\n";
     usage(kExitUsage);
   }
   options.log = &std::cerr;
