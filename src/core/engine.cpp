@@ -196,7 +196,9 @@ std::size_t Engine::group_count(HalfId id, asdata::Asn target) const {
 // ---------------------------------------------------------------------------
 
 void Engine::mark_dependents_dirty(HalfId id) {
-  for (HalfId dependent : graph_.reverse_neighbor_ids(id)) {
+  // Neighbour spans are symmetric, so id's span is exactly the halves that
+  // count id's vote.
+  for (HalfId dependent : graph_.neighbor_ids(id)) {
     if (!dirty_flag_[dependent]) {
       dirty_flag_[dependent] = 1;
       dirty_.push_back(dependent);
@@ -690,11 +692,10 @@ void Engine::count_divergent_other_sides() {
   // Direct inferences on both endpoints of a link naming different AS
   // pairs (§4.4.3). Counted once per link, keyed by the lower address.
   stats_.divergent_other_sides = 0;
-  const auto& records = graph_.interfaces();
-  for (std::size_t i = 0; i < records.size(); ++i) {
+  for (std::size_t i = 0; i < graph_.size(); ++i) {
     const HalfId fwd = static_cast<HalfId>(2 * i);
-    const net::Ipv4Address other = records[i].other_side.address;
-    if (!(records[i].address < other)) continue;
+    const HalfId other_fwd = graph_.other_side_id(fwd) & ~1u;
+    if (!(graph_.address_at(fwd) < graph_.address_at(other_fwd))) continue;
     if (base_[fwd] == asdata::kUnknownAsn) continue;
 
     auto pair_of = [&](HalfId first)
@@ -710,7 +711,6 @@ void Engine::count_divergent_other_sides() {
       }
       return std::nullopt;
     };
-    const HalfId other_fwd = graph_.other_side_id(fwd) & ~1u;
     const auto mine = pair_of(fwd);
     const auto theirs = pair_of(other_fwd);
     if (mine && theirs && *mine != *theirs) ++stats_.divergent_other_sides;

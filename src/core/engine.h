@@ -21,9 +21,10 @@
 // (interface index * 2 + direction); all engine state lives in flat slabs
 // indexed by that id, so the hot loops are plain vector reads with no
 // hashing. Passes after the first of each add/remove step recount only the
-// halves whose neighbour mappings changed (dirty-set propagation through
-// the graph's reverse adjacency); the first pass of every step is a full
-// sweep, which keeps inference output identical to a full-recount engine.
+// halves whose neighbour mappings changed (dirty-set propagation along the
+// graph's neighbour spans, which are symmetric); the first pass of every
+// step is a full sweep, which keeps inference output identical to a
+// full-recount engine.
 // See DESIGN.md "Dense engine state" for the invariants.
 //
 // Threading: the full-sweep first pass of each add/remove step evaluates
@@ -252,8 +253,9 @@ class Engine {
 
   // --- dirty-set propagation ------------------------------------------
   /// Enqueues every half whose majority depends on `id` for recount on the
-  /// next pass (reverse adjacency walk). Called whenever a half's effective
-  /// mapping changes.
+  /// next pass (walk of its own neighbour span — the spans are symmetric,
+  /// so those are exactly the halves that count its vote). Called whenever
+  /// a half's effective mapping changes.
   void mark_dependents_dirty(HalfId id);
   /// Wraps a state mutation: records the effective mapping before, runs the
   /// mutation, and marks dependents dirty if the mapping changed.

@@ -17,18 +17,18 @@ void describe_asn(std::ostream& out, asdata::Asn asn) {
 void describe_half(std::ostream& out, const Result& result,
                    const graph::InterfaceGraph& graph,
                    const bgp::Ip2As& ip2as, const graph::InterfaceHalf& half) {
-  const auto& neighbors = graph.neighbors(half);
+  const graph::HalfId id = graph.half_id(half);
+  const auto neighbors = graph.neighbor_ids(id);
   out << half.to_string() << "  ("
       << (half.direction == graph::Direction::kForward
               ? "forward neighbours N_F"
               : "backward neighbours N_B")
       << ", " << neighbors.size() << " unique)\n";
 
-  const graph::Direction nd = opposite(half.direction);
-  for (net::Ipv4Address neighbor : neighbors) {
-    const graph::InterfaceHalf nh{neighbor, nd};
+  for (graph::HalfId nid : neighbors) {
+    const graph::InterfaceHalf nh = graph.half_at(nid);
     out << "    " << nh.to_string() << "  origin ";
-    describe_asn(out, ip2as.origin(neighbor));
+    describe_asn(out, ip2as.origin(nh.address));
     if (auto it = result.final_mappings.find(nh);
         it != result.final_mappings.end()) {
       out << ", refined to ";
@@ -63,12 +63,13 @@ std::string explain(const Result& result, const graph::InterfaceGraph& graph,
   std::ostringstream out;
   out << "interface " << address.to_string() << "  origin ";
   describe_asn(out, ip2as.origin(address));
-  const graph::InterfaceRecord* record = graph.find(address);
-  if (record == nullptr) {
+  // Unknown addresses (kInvalidHalfId) and phantoms sort above records.
+  if (graph.half_id(graph::forward_half(address)) >=
+      graph.record_half_count()) {
     out << "\n  never seen adjacent to another address in the corpus\n";
     return out.str();
   }
-  const graph::OtherSide other = record->other_side;
+  const graph::OtherSide other = graph.other_sides().other_side(address);
   out << ", other side " << other.address.to_string() << " ("
       << (other.inference == graph::PrefixInference::kSlash30
               ? "/30 assumed"

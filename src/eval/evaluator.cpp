@@ -4,6 +4,18 @@
 
 namespace mapit::eval {
 
+namespace {
+
+/// Forward half id of `address` when it is a record (seen adjacent to
+/// another address), else kInvalidHalfId.
+graph::HalfId record_id(const graph::InterfaceGraph& graph,
+                        net::Ipv4Address address) {
+  const graph::HalfId id = graph.half_id(graph::forward_half(address));
+  return id < graph.record_half_count() ? id : graph::kInvalidHalfId;
+}
+
+}  // namespace
+
 Evaluator::Evaluator(const topo::Internet& net,
                      const graph::InterfaceGraph& graph)
     : net_(net), graph_(graph) {
@@ -41,9 +53,9 @@ asdata::LinkClass Evaluator::classify(asdata::Asn a, asdata::Asn b) const {
 bool Evaluator::link_eligible(const AsGroundTruth& truth,
                               const LinkTruth& link) const {
   // §5.2: the interface or its other side must appear in the traces...
-  const graph::InterfaceRecord* ra = graph_.find(link.addr_a);
-  const graph::InterfaceRecord* rb = graph_.find(link.addr_b);
-  if (ra == nullptr && rb == nullptr) return false;
+  const graph::HalfId ra = record_id(graph_, link.addr_a);
+  const graph::HalfId rb = record_id(graph_, link.addr_b);
+  if (ra == graph::kInvalidHalfId && rb == graph::kInvalidHalfId) return false;
   // ...and evidence of the connected AS must have been observable: the link
   // is numbered from the connected AS, or some address of the connected AS
   // was seen adjacent to the link.
@@ -52,11 +64,13 @@ bool Evaluator::link_eligible(const AsGroundTruth& truth,
       involves(true_origin(link.addr_b), remote)) {
     return true;
   }
-  for (const graph::InterfaceRecord* record : {ra, rb}) {
-    if (record == nullptr) continue;
-    for (const auto& neighbors : {record->forward, record->backward}) {
-      for (net::Ipv4Address neighbor : neighbors) {
-        if (involves(true_origin(neighbor), remote)) return true;
+  for (graph::HalfId record : {ra, rb}) {
+    if (record == graph::kInvalidHalfId) continue;
+    for (graph::HalfId half : {record, record + 1}) {
+      for (graph::HalfId neighbor : graph_.neighbor_ids(half)) {
+        if (involves(true_origin(graph_.address_at(neighbor)), remote)) {
+          return true;
+        }
       }
     }
   }
@@ -111,12 +125,12 @@ Verification Evaluator::verify(const AsGroundTruth& truth,
 
     // Approximate dataset: only claims adjacent to a known link with the
     // same pair are verifiable errors (§5.2); others cannot be judged.
-    const graph::InterfaceRecord* record = graph_.find(claim.address);
-    if (record == nullptr) continue;
+    const graph::HalfId record = record_id(graph_, claim.address);
+    if (record == graph::kInvalidHalfId) continue;
     bool adjacent_error = false;
-    for (const auto& neighbors : {record->forward, record->backward}) {
-      for (net::Ipv4Address neighbor : neighbors) {
-        const std::size_t* index = truth.link_of(neighbor);
+    for (graph::HalfId half : {record, record + 1}) {
+      for (graph::HalfId neighbor : graph_.neighbor_ids(half)) {
+        const std::size_t* index = truth.link_of(graph_.address_at(neighbor));
         if (index == nullptr) continue;
         const LinkTruth& link = truth.links()[*index];
         if (pair_matches(claim.a, claim.b, target, link.recorded_remote)) {

@@ -1,10 +1,10 @@
 #include "graph/interface_graph.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <unordered_set>
 
-#include "net/error.h"
 #include "net/special_purpose.h"
 #include "parallel/thread_pool.h"
 
@@ -12,15 +12,16 @@ namespace mapit::graph {
 
 namespace {
 
-const std::vector<net::Ipv4Address>& empty_neighbors() {
-  static const std::vector<net::Ipv4Address> empty;
-  return empty;
+std::uint64_t pack(std::uint32_t high, std::uint32_t low) {
+  return std::uint64_t{high} << 32 | low;
 }
 
-void sort_unique(std::vector<net::Ipv4Address>& addresses) {
-  std::sort(addresses.begin(), addresses.end());
-  addresses.erase(std::unique(addresses.begin(), addresses.end()),
-                  addresses.end());
+std::uint32_t high_of(std::uint64_t edge) {
+  return static_cast<std::uint32_t>(edge >> 32);
+}
+
+std::uint32_t low_of(std::uint64_t edge) {
+  return static_cast<std::uint32_t>(edge);
 }
 
 }  // namespace
@@ -29,8 +30,7 @@ InterfaceGraph::InterfaceGraph(const trace::TraceCorpus& sanitized,
                                std::span<const net::Ipv4Address> all_addresses,
                                unsigned threads)
     : other_sides_(all_addresses) {
-  accumulate(sanitized);
-  finalize(threads);
+  build(edges_of(sanitized), threads);
 }
 
 void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
@@ -39,31 +39,23 @@ void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
   // The §4.2 other-side heuristic is population-sensitive: a delta address
   // can flip an *existing* record's /30-vs-/31 decision by witnessing the
   // other half of its prefix. Rebuild the map over the merged population
-  // before recomputing every record's other side in finalize().
+  // before build() recomputes every other side.
   other_sides_ = OtherSideMap(all_addresses);
-  accumulate(sanitized_delta);
-  // finalize() re-sorts/uniques every neighbour set, so appending the
-  // delta's raw contributions to the already-deduplicated base sets yields
-  // exactly the union a cold build over base+delta would gather — and the
-  // dense layout is rebuilt from scratch through the same code path, so
-  // phantom discovery order (hence every HalfId) matches the cold build.
-  phantoms_.clear();
-  phantom_index_.clear();
-  finalize(threads);
+  // The union of the base and delta edge sets is exactly the edge set a
+  // cold build over base+delta gathers, and build() is the cold path, so
+  // every HalfId (phantom order included) matches the cold build.
+  const std::vector<std::uint64_t> base = stored_edges();
+  const std::vector<std::uint64_t> delta = edges_of(sanitized_delta);
+  std::vector<std::uint64_t> merged;
+  merged.reserve(base.size() + delta.size());
+  std::set_union(base.begin(), base.end(), delta.begin(), delta.end(),
+                 std::back_inserter(merged));
+  build(merged, threads);
 }
 
-void InterfaceGraph::accumulate(const trace::TraceCorpus& sanitized) {
-  // Gather raw adjacency lists keyed by address. index_ doubles as the
-  // gather index: existing entries point at their (sorted) record, new
-  // addresses append; finalize() restores the sorted invariant.
-  auto record_for = [&](net::Ipv4Address address) -> InterfaceRecord& {
-    auto [it, inserted] = index_.emplace(address, records_.size());
-    if (inserted) {
-      records_.push_back(InterfaceRecord{address, {}, {}, {}});
-    }
-    return records_[it->second];
-  };
-
+std::vector<std::uint64_t> InterfaceGraph::edges_of(
+    const trace::TraceCorpus& sanitized) {
+  std::unordered_set<std::uint64_t> unique;
   for (const trace::Trace& trace : sanitized.traces()) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const trace::TraceHop& a = trace.hops[i];
@@ -75,208 +67,165 @@ void InterfaceGraph::accumulate(const trace::TraceCorpus& sanitized) {
           net::is_special_purpose(*b.address)) {
         continue;  // private/shared addresses excluded from Ns (§4.3)
       }
-      record_for(*a.address).forward.push_back(*b.address);
-      record_for(*b.address).backward.push_back(*a.address);
+      unique.insert(pack(a.address->value(), b.address->value()));
     }
   }
+  std::vector<std::uint64_t> edges(unique.begin(), unique.end());
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
-void InterfaceGraph::finalize(unsigned threads) {
-  for (InterfaceRecord& record : records_) {
-    sort_unique(record.forward);
-    sort_unique(record.backward);
-    record.other_side = other_sides_.other_side(record.address);
+std::vector<std::uint64_t> InterfaceGraph::stored_edges() const {
+  // Records ascend by address and each forward span ascends by id, i.e. by
+  // neighbour address, so the edges come out sorted.
+  std::vector<std::uint64_t> edges;
+  edges.reserve(neighbor_ids_.size() / 2);
+  for (std::size_t i = 0; i < record_count_; ++i) {
+    const std::uint32_t a = addresses_[i].value();
+    for (HalfId nid : neighbor_ids(static_cast<HalfId>(2 * i))) {
+      edges.push_back(pack(a, address_at(nid).value()));
+    }
   }
-
-  std::sort(records_.begin(), records_.end(),
-            [](const InterfaceRecord& x, const InterfaceRecord& y) {
-              return x.address < y.address;
-            });
-  index_.clear();
-  index_.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    index_.emplace(records_[i].address, i);
-  }
-
-  build_dense_layout(threads);
+  return edges;
 }
 
-void InterfaceGraph::build_dense_layout(unsigned threads) {
-  const std::size_t n = records_.size();
+void InterfaceGraph::build(const std::vector<std::uint64_t>& edges,
+                           unsigned threads) {
+  // N_F(a) is the run of edges (a, ·). N_B(b) is the run of transposed
+  // entries (b, k), where k is the position of edge (a, b): sorting by
+  // (b, k) is sorting by (b, a), because the edges are sorted.
+  std::vector<std::uint64_t> transposed;
+  transposed.reserve(edges.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    transposed.push_back(pack(low_of(edges[k]), static_cast<std::uint32_t>(k)));
+  }
+  std::sort(transposed.begin(), transposed.end());
+
+  // Records: every edge endpoint, in address order.
+  auto heads = [](const std::vector<std::uint64_t>& list) {
+    std::vector<net::Ipv4Address> out;
+    for (std::uint64_t edge : list) {
+      const net::Ipv4Address a(high_of(edge));
+      if (out.empty() || out.back() != a) out.push_back(a);
+    }
+    return out;
+  };
+  const std::vector<net::Ipv4Address> sources = heads(edges);
+  const std::vector<net::Ipv4Address> targets = heads(transposed);
+  addresses_.clear();
+  std::set_union(sources.begin(), sources.end(), targets.begin(),
+                 targets.end(), std::back_inserter(addresses_));
+  record_count_ = addresses_.size();
+  const std::size_t n = record_count_;
+
+  // Record index of each edge's source and target. Both lists are sorted
+  // by the address being ranked, so one merge walk over the records each.
+  std::vector<std::uint32_t> source(edges.size());
+  std::vector<std::uint32_t> target(edges.size());
+  for (std::size_t k = 0, i = 0; k < edges.size(); ++k) {
+    while (addresses_[i].value() != high_of(edges[k])) ++i;
+    source[k] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t k = 0, i = 0; k < transposed.size(); ++k) {
+    while (addresses_[i].value() != high_of(transposed[k])) ++i;
+    target[low_of(transposed[k])] = static_cast<std::uint32_t>(i);
+  }
+
+  // Phantom addresses: other sides of records that are not records
+  // themselves, sorted so half_id() can binary-search them. Sorted is also
+  // their discovery order in record order: an other side lies in its
+  // record's /30, and inside one /30 the non-record other sides come out
+  // ascending (e.g. .0 -> .1 before .3 -> .2).
+  std::vector<net::Ipv4Address> phantoms;
+  for (std::size_t i = 0; i < n; ++i) {
+    const net::Ipv4Address os = other_sides_.other_address(addresses_[i]);
+    if (!std::binary_search(addresses_.begin(), addresses_.end(), os)) {
+      phantoms.push_back(os);
+    }
+  }
+  std::sort(phantoms.begin(), phantoms.end());
+  phantoms.erase(std::unique(phantoms.begin(), phantoms.end()),
+                 phantoms.end());
+  addresses_.insert(addresses_.end(), phantoms.begin(), phantoms.end());
+  const std::size_t halves = half_count();
+
+  // Offsets: record i's forward run, then its backward run. A sequential
+  // prefix sum that also notes where each run starts in its list.
+  neighbor_offsets_.assign(halves + 1, 0);
+  std::vector<std::uint32_t> forward_begin(n);
+  std::vector<std::uint32_t> backward_begin(n);
+  std::size_t f = 0;
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t a = addresses_[i].value();
+    forward_begin[i] = static_cast<std::uint32_t>(f);
+    backward_begin[i] = static_cast<std::uint32_t>(b);
+    neighbor_offsets_[2 * i] = static_cast<std::uint32_t>(f + b);
+    while (f < edges.size() && high_of(edges[f]) == a) ++f;
+    neighbor_offsets_[2 * i + 1] = static_cast<std::uint32_t>(f + b);
+    while (b < transposed.size() && high_of(transposed[b]) == a) ++b;
+  }
+  for (std::size_t id = 2 * n; id <= halves; ++id) {
+    neighbor_offsets_[id] = static_cast<std::uint32_t>(f + b);
+  }
 
   const unsigned resolved = parallel::resolve_threads(threads);
   std::optional<parallel::ThreadPool> pool_storage;
   if (resolved > 1 && n > 1) pool_storage.emplace(resolved);
   parallel::ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
 
-  // Phantom addresses: other sides of records that are not records
-  // themselves. Discovered in record (address) order, so ids are stable
-  // (sequential: insertion order defines the ids).
-  for (const InterfaceRecord& record : records_) {
-    const net::Ipv4Address os = record.other_side.address;
-    if (index_.contains(os) || phantom_index_.contains(os)) continue;
-    phantom_index_.emplace(os, n + phantoms_.size());
-    phantoms_.push_back(os);
-  }
-
-  const std::size_t halves = half_count();
-
-  // Neighbour half-ID spans. Only record halves have neighbours; a
-  // neighbour address always has a record of its own (both endpoints of
-  // every adjacency were materialized during construction). The offset
-  // table is a sequential prefix sum; the span fill is per-record
-  // independent (every record's write positions come straight off the
-  // offsets), so workers fill disjoint ascending chunks.
-  neighbor_offsets_.assign(halves + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    neighbor_offsets_[2 * i] = static_cast<std::uint32_t>(total);
-    total += records_[i].forward.size();
-    neighbor_offsets_[2 * i + 1] = static_cast<std::uint32_t>(total);
-    total += records_[i].backward.size();
-  }
-  for (std::size_t id = 2 * n; id <= halves; ++id) {
-    neighbor_offsets_[id] = static_cast<std::uint32_t>(total);
-  }
-  neighbor_ids_.resize(total);
+  // Neighbour-id spans: the forward run holds the backward halves of the
+  // successors, the backward run the forward halves of the predecessors.
+  neighbor_ids_.resize(f + b);
   parallel::for_ranges(pool, n, [&](unsigned, std::size_t begin,
                                     std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      std::size_t cursor = neighbor_offsets_[2 * i];
-      for (Direction d : {Direction::kForward, Direction::kBackward}) {
-        const std::uint32_t bit = direction_bit(opposite(d));
-        for (net::Ipv4Address neighbor : records_[i].neighbors(d)) {
-          const auto it = index_.find(neighbor);
-          MAPIT_ENSURE(it != index_.end(),
-                       "interface graph neighbour without a record");
-          neighbor_ids_[cursor++] =
-              static_cast<HalfId>(2 * it->second + bit);
-        }
+      std::uint32_t k = neighbor_offsets_[2 * i];
+      for (std::uint32_t e = forward_begin[i]; k < neighbor_offsets_[2 * i + 1];
+           ++k, ++e) {
+        neighbor_ids_[k] = 2 * target[e] + 1;
+      }
+      for (std::uint32_t t = backward_begin[i];
+           k < neighbor_offsets_[2 * i + 2]; ++k, ++t) {
+        neighbor_ids_[k] = 2 * source[low_of(transposed[t])];
       }
     }
   });
 
-  // Reverse adjacency via counting sort: reverse_ids_ holds, for each half
-  // g, the halves h whose neighbour span contains g (sorted: sources are
-  // visited in ascending id order).
-  reverse_ids_.resize(neighbor_ids_.size());
-  reverse_offsets_.assign(halves + 1, 0);
-  if (pool != nullptr) {
-    // Parallel counting sort in two passes over disjoint ascending source
-    // ranges. Workers first histogram their own range; the sequential
-    // combine then gives worker w its start cursor per target —
-    // reverse_offsets_[t] plus everything lower-ranked workers scatter
-    // there — so the scatter pass is race-free and keeps each target span
-    // in ascending source order, byte-identical to the sequential sort.
-    const unsigned workers = pool->size();
-    std::vector<std::vector<std::uint32_t>> cursors(
-        workers, std::vector<std::uint32_t>(halves, 0));
-    pool->for_ranges(halves, [&](unsigned worker, std::size_t begin,
-                                 std::size_t end) {
-      auto& counts = cursors[worker];
-      for (std::size_t k = neighbor_offsets_[begin];
-           k < neighbor_offsets_[end]; ++k) {
-        ++counts[neighbor_ids_[k]];
-      }
-    });
-    for (std::size_t t = 0; t < halves; ++t) {
-      std::uint32_t sum = 0;
-      for (unsigned w = 0; w < workers; ++w) sum += cursors[w][t];
-      reverse_offsets_[t + 1] = sum;
-    }
-    for (std::size_t id = 1; id <= halves; ++id) {
-      reverse_offsets_[id] += reverse_offsets_[id - 1];
-    }
-    for (std::size_t t = 0; t < halves; ++t) {
-      std::uint32_t cursor = reverse_offsets_[t];
-      for (unsigned w = 0; w < workers; ++w) {
-        const std::uint32_t count = cursors[w][t];
-        cursors[w][t] = cursor;
-        cursor += count;
-      }
-    }
-    pool->for_ranges(halves, [&](unsigned worker, std::size_t begin,
-                                 std::size_t end) {
-      auto& fill = cursors[worker];
-      for (std::size_t h = begin; h < end; ++h) {
-        for (std::size_t k = neighbor_offsets_[h];
-             k < neighbor_offsets_[h + 1]; ++k) {
-          reverse_ids_[fill[neighbor_ids_[k]]++] = static_cast<HalfId>(h);
-        }
-      }
-    });
-  } else {
-    for (HalfId target : neighbor_ids_) ++reverse_offsets_[target + 1];
-    for (std::size_t id = 1; id <= halves; ++id) {
-      reverse_offsets_[id] += reverse_offsets_[id - 1];
-    }
-    std::vector<std::uint32_t> fill(reverse_offsets_.begin(),
-                                    reverse_offsets_.end() - 1);
-    for (std::size_t h = 0; h < halves; ++h) {
-      for (std::size_t k = neighbor_offsets_[h]; k < neighbor_offsets_[h + 1];
-           ++k) {
-        reverse_ids_[fill[neighbor_ids_[k]]++] = static_cast<HalfId>(h);
-      }
-    }
-  }
-
-  // Other-side ids. Record halves always resolve (their other-side address
-  // is a record or a phantom by construction); a phantom's own other side
-  // may fall outside the universe. Per-id independent lookups.
+  // Other-side ids, one lookup per address: {a, d} -> {os(a), opposite(d)}.
+  // Record halves always resolve (their other-side address is a record or
+  // a phantom by construction); a phantom's own other side may fall
+  // outside the universe.
   other_ids_.assign(halves, kInvalidHalfId);
-  parallel::for_ranges(pool, halves, [&](unsigned, std::size_t begin,
-                                         std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      const InterfaceHalf half = half_at(static_cast<HalfId>(id));
-      other_ids_[id] = half_id(other_side_half(half));
+  parallel::for_ranges(pool, addresses_.size(), [&](unsigned,
+                                                    std::size_t begin,
+                                                    std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const HalfId os = half_id(
+          forward_half(other_sides_.other_address(addresses_[i])));
+      if (os == kInvalidHalfId) continue;
+      other_ids_[2 * i] = os + 1;
+      other_ids_[2 * i + 1] = os;
     }
   });
 }
 
 HalfId InterfaceGraph::half_id(const InterfaceHalf& half) const {
-  std::size_t index;
-  if (auto it = index_.find(half.address); it != index_.end()) {
-    index = it->second;
-  } else if (auto pt = phantom_index_.find(half.address);
-             pt != phantom_index_.end()) {
-    index = pt->second;
-  } else {
-    return kInvalidHalfId;
+  const auto records_end =
+      addresses_.begin() + static_cast<std::ptrdiff_t>(record_count_);
+  auto it = std::lower_bound(addresses_.begin(), records_end, half.address);
+  if (it == records_end || *it != half.address) {
+    it = std::lower_bound(records_end, addresses_.end(), half.address);
+    if (it == addresses_.end() || *it != half.address) return kInvalidHalfId;
   }
-  return static_cast<HalfId>(2 * index + direction_bit(half.direction));
+  return static_cast<HalfId>(
+      2 * static_cast<std::size_t>(it - addresses_.begin()) +
+      direction_bit(half.direction));
 }
 
 InterfaceHalf InterfaceGraph::half_at(HalfId id) const {
   return {address_at(id),
           (id & 1u) == 0 ? Direction::kForward : Direction::kBackward};
-}
-
-net::Ipv4Address InterfaceGraph::address_at(HalfId id) const {
-  const std::size_t index = id / 2;
-  return index < records_.size() ? records_[index].address
-                                 : phantoms_[index - records_.size()];
-}
-
-std::span<const HalfId> InterfaceGraph::neighbor_ids(HalfId id) const {
-  return {neighbor_ids_.data() + neighbor_offsets_[id],
-          neighbor_ids_.data() + neighbor_offsets_[id + 1]};
-}
-
-std::span<const HalfId> InterfaceGraph::reverse_neighbor_ids(HalfId id) const {
-  return {reverse_ids_.data() + reverse_offsets_[id],
-          reverse_ids_.data() + reverse_offsets_[id + 1]};
-}
-
-const InterfaceRecord* InterfaceGraph::find(net::Ipv4Address address) const {
-  auto it = index_.find(address);
-  return it == index_.end() ? nullptr : &records_[it->second];
-}
-
-const std::vector<net::Ipv4Address>& InterfaceGraph::neighbors(
-    const InterfaceHalf& half) const {
-  const InterfaceRecord* record = find(half.address);
-  if (record == nullptr) return empty_neighbors();
-  return record->neighbors(half.direction);
 }
 
 InterfaceHalf InterfaceGraph::other_side_half(const InterfaceHalf& half) const {
@@ -286,24 +235,27 @@ InterfaceHalf InterfaceGraph::other_side_half(const InterfaceHalf& half) const {
 
 GraphStats InterfaceGraph::stats() const {
   GraphStats stats;
-  stats.interfaces = records_.size();
+  stats.interfaces = record_count_;
   stats.slash31_fraction = other_sides_.slash31_fraction();
-  for (const InterfaceRecord& record : records_) {
-    if (record.forward.size() > 1) ++stats.forward_multi;
-    if (record.backward.size() > 1) ++stats.backward_multi;
-    // Sorted-set intersection test for the §3.2 footnote-3 statistic.
-    auto f = record.forward.begin();
-    auto b = record.backward.begin();
+  for (std::size_t i = 0; i < record_count_; ++i) {
+    const auto forward = neighbor_ids(static_cast<HalfId>(2 * i));
+    const auto backward = neighbor_ids(static_cast<HalfId>(2 * i + 1));
+    if (forward.size() > 1) ++stats.forward_multi;
+    if (backward.size() > 1) ++stats.backward_multi;
+    // Sorted-set intersection test for the §3.2 footnote-3 statistic; the
+    // two spans name opposite halves, so compare interface indices.
+    auto fi = forward.begin();
+    auto bi = backward.begin();
     bool overlap = false;
-    while (f != record.forward.end() && b != record.backward.end()) {
-      if (*f == *b) {
+    while (fi != forward.end() && bi != backward.end()) {
+      if (*fi >> 1 == *bi >> 1) {
         overlap = true;
         break;
       }
-      if (*f < *b) {
-        ++f;
+      if (*fi < *bi) {
+        ++fi;
       } else {
-        ++b;
+        ++bi;
       }
     }
     if (overlap) ++stats.both_directions_overlap;

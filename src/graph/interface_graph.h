@@ -6,11 +6,14 @@
 // sanitized traces. Null hops break adjacency; private/shared/special
 // addresses are excluded both as subjects and as neighbours; an address is
 // never its own neighbour.
+//
+// The sets live in one place: dense half-id spans (an offset table plus a
+// flat id array) built from the sorted, unique list of forward edges
+// (a, b). Address lookup is a binary search over the sorted addresses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,19 +40,6 @@ inline constexpr HalfId kInvalidHalfId = 0xffffffffu;
   return d == Direction::kForward ? 0u : 1u;
 }
 
-/// Per-interface record.
-struct InterfaceRecord {
-  net::Ipv4Address address;
-  std::vector<net::Ipv4Address> forward;   ///< N_F, sorted unique
-  std::vector<net::Ipv4Address> backward;  ///< N_B, sorted unique
-  OtherSide other_side;
-
-  [[nodiscard]] const std::vector<net::Ipv4Address>& neighbors(
-      Direction d) const {
-    return d == Direction::kForward ? forward : backward;
-  }
-};
-
 /// Corpus-level statistics mirroring §4.3's reported numbers.
 struct GraphStats {
   std::size_t interfaces = 0;             ///< addresses with any neighbour
@@ -72,12 +62,10 @@ class InterfaceGraph {
   /// deliberately uses discarded traces too); pass the sanitized corpus's
   /// own addresses when the original corpus is unavailable.
   ///
-  /// `threads` workers build the dense layout (neighbour-id spans, reverse
-  /// adjacency, other-side ids) over disjoint index ranges (0 = one per
-  /// hardware thread, 1 = fully sequential). The layout is byte-identical
-  /// for every thread count: span contents are position-addressed from the
-  /// offset table, and the reverse adjacency keeps its ascending-source
-  /// order via per-worker histogram offsets.
+  /// `threads` workers fill the neighbour-id spans and other-side ids over
+  /// disjoint index ranges (0 = one per hardware thread, 1 = fully
+  /// sequential). Every write position comes from the offset table, so the
+  /// layout is byte-identical for every thread count.
   InterfaceGraph(const trace::TraceCorpus& sanitized,
                  std::span<const net::Ipv4Address> all_addresses,
                  unsigned threads = 1);
@@ -88,52 +76,41 @@ class InterfaceGraph {
   /// rebuilt over it, because new witnesses can flip existing records'
   /// /30-vs-/31 decisions.
   ///
-  /// Postcondition (pinned by the ingest equivalence tests): the folded
-  /// graph is indistinguishable — records, neighbour sets, other sides,
-  /// phantom order, every HalfId — from a cold-built graph over the
-  /// concatenated corpus, for any fold batching and any thread count.
+  /// Postcondition (pinned by the graph fold test and the ingest
+  /// equivalence tests): the folded graph is indistinguishable — records,
+  /// neighbour spans, other sides, phantom order, every HalfId — from a
+  /// cold-built graph over the concatenated corpus, for any fold batching
+  /// and any thread count.
   void fold(const trace::TraceCorpus& sanitized_delta,
             std::span<const net::Ipv4Address> all_addresses,
             unsigned threads = 1);
-
-  /// The record for `address`, or nullptr when the address never appeared
-  /// adjacent to another address.
-  [[nodiscard]] const InterfaceRecord* find(net::Ipv4Address address) const;
-
-  /// Neighbour set of one interface half (empty if unknown address).
-  [[nodiscard]] const std::vector<net::Ipv4Address>& neighbors(
-      const InterfaceHalf& half) const;
 
   /// The other-side half of `half`: the opposite-direction view of the
   /// interface on the far end of the link prefix (paper §3.2).
   [[nodiscard]] InterfaceHalf other_side_half(const InterfaceHalf& half) const;
 
-  /// All interface records, ordered by address.
-  [[nodiscard]] const std::vector<InterfaceRecord>& interfaces() const {
-    return records_;
-  }
-
   [[nodiscard]] const OtherSideMap& other_sides() const { return other_sides_; }
 
   [[nodiscard]] GraphStats stats() const;
 
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  /// Number of records: addresses seen adjacent to another address.
+  [[nodiscard]] std::size_t size() const { return record_count_; }
 
   // --- dense half-ID layout --------------------------------------------
   // Engine hot loops index flat slabs with these ids instead of hashing
   // InterfaceHalf keys (see DESIGN.md "Dense engine state").
 
   /// Number of phantom (other-side-only) addresses.
-  [[nodiscard]] std::size_t phantom_count() const { return phantoms_.size(); }
+  [[nodiscard]] std::size_t phantom_count() const {
+    return addresses_.size() - record_count_;
+  }
 
   /// Total half ids: 2 * (records + phantoms). Valid ids are [0, half_count()).
-  [[nodiscard]] std::size_t half_count() const {
-    return (records_.size() + phantoms_.size()) * 2;
-  }
+  [[nodiscard]] std::size_t half_count() const { return addresses_.size() * 2; }
 
   /// Half ids below this belong to records (addresses with neighbours).
   [[nodiscard]] std::size_t record_half_count() const {
-    return records_.size() * 2;
+    return record_count_ * 2;
   }
 
   /// The id of `half`, or kInvalidHalfId when its address is neither a
@@ -143,39 +120,43 @@ class InterfaceGraph {
   /// Inverse of half_id. `id` must be valid.
   [[nodiscard]] InterfaceHalf half_at(HalfId id) const;
 
-  [[nodiscard]] net::Ipv4Address address_at(HalfId id) const;
+  [[nodiscard]] net::Ipv4Address address_at(HalfId id) const {
+    return addresses_[id / 2];
+  }
 
-  /// Ids of the opposite-direction halves whose votes decide this half's
-  /// majority: for half {a, d}, the halves {n, opposite(d)} for every
-  /// n in neighbors({a, d}). Parallel to neighbors(half) order. Empty for
-  /// phantom halves.
-  [[nodiscard]] std::span<const HalfId> neighbor_ids(HalfId id) const;
-
-  /// Reverse adjacency: every half h with `id` in neighbor_ids(h) — i.e.
-  /// the halves whose majority counts must be recomputed when this half's
-  /// effective mapping changes. Sorted ascending.
-  [[nodiscard]] std::span<const HalfId> reverse_neighbor_ids(HalfId id) const;
+  /// The neighbour set of half {a, d} as ids of the opposite-direction
+  /// halves {n, opposite(d)}, one per n in N_d(a), ascending (= address
+  /// order). Empty for phantom halves.
+  ///
+  /// The relation is symmetric: h is in neighbor_ids(g) exactly when g is
+  /// in neighbor_ids(h), because every edge (a, b) puts b_b in N_F(a) and
+  /// a_f in N_B(b). So a half's span also lists the halves whose majority
+  /// counts must be recomputed when its effective mapping changes.
+  [[nodiscard]] std::span<const HalfId> neighbor_ids(HalfId id) const {
+    return {neighbor_ids_.data() + neighbor_offsets_[id],
+            neighbor_ids_.data() + neighbor_offsets_[id + 1]};
+  }
 
   /// Id of other_side_half(half_at(id)); kInvalidHalfId when the other-side
   /// address is outside the id universe (possible only for phantom halves).
   [[nodiscard]] HalfId other_side_id(HalfId id) const { return other_ids_[id]; }
 
  private:
-  void accumulate(const trace::TraceCorpus& sanitized);
-  void finalize(unsigned threads);
-  void build_dense_layout(unsigned threads);
+  /// Sorted, unique packed forward edges `a << 32 | b` of `sanitized`.
+  [[nodiscard]] static std::vector<std::uint64_t> edges_of(
+      const trace::TraceCorpus& sanitized);
+  /// The sorted forward edges currently stored in the spans.
+  [[nodiscard]] std::vector<std::uint64_t> stored_edges() const;
+  /// Rebuilds every member but other_sides_ from sorted unique edges.
+  void build(const std::vector<std::uint64_t>& edges, unsigned threads);
 
-  std::vector<InterfaceRecord> records_;                       // sorted by address
-  std::unordered_map<net::Ipv4Address, std::size_t> index_;
   OtherSideMap other_sides_;
-
-  // Dense layout (built once at construction).
-  std::vector<net::Ipv4Address> phantoms_;  // discovery order
-  std::unordered_map<net::Ipv4Address, std::size_t> phantom_index_;
+  // Records (sorted) followed by phantoms (sorted, which is also the order
+  // records discover them in); address_at(id) == addresses_[id / 2].
+  std::vector<net::Ipv4Address> addresses_;
+  std::size_t record_count_ = 0;
   std::vector<HalfId> neighbor_ids_;             // flattened spans
   std::vector<std::uint32_t> neighbor_offsets_;  // size half_count() + 1
-  std::vector<HalfId> reverse_ids_;              // flattened spans
-  std::vector<std::uint32_t> reverse_offsets_;   // size half_count() + 1
   std::vector<HalfId> other_ids_;                // per half id
 };
 

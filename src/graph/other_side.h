@@ -11,13 +11,15 @@
 //     address in the dataset occupies a reserved slot of their /30;
 //     otherwise they are assumed /30-numbered -> other side is the /30
 //     partner host.
+//
+// The map keeps only the sorted, unique address set; each decision is
+// recomputed on demand (two binary searches for the witness slots).
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/ipv4.h"
 
@@ -45,8 +47,8 @@ class OtherSideMap {
   /// Builds the map from all addresses seen in any trace.
   explicit OtherSideMap(std::span<const net::Ipv4Address> addresses);
 
-  /// The other side of `address`. Addresses not in the build set still get
-  /// a deterministic answer (computed against the build set's witnesses).
+  /// The other side of `address`. Addresses not in the build set get an
+  /// answer by the same rule, against the build set's witnesses.
   [[nodiscard]] OtherSide other_side(net::Ipv4Address address) const;
 
   /// Shorthand for other_side().address.
@@ -58,13 +60,11 @@ class OtherSideMap {
   /// reports 40.4% on Ark).
   [[nodiscard]] double slash31_fraction() const;
 
-  [[nodiscard]] std::size_t size() const { return decisions_.size(); }
+  /// Number of distinct build-set addresses.
+  [[nodiscard]] std::size_t size() const { return addresses_.size(); }
 
  private:
-  [[nodiscard]] OtherSide decide(net::Ipv4Address address) const;
-
-  std::unordered_set<net::Ipv4Address> seen_;
-  std::unordered_map<net::Ipv4Address, OtherSide> decisions_;
+  std::vector<net::Ipv4Address> addresses_;  // sorted, unique
 };
 
 }  // namespace mapit::graph

@@ -108,11 +108,12 @@ TEST_F(EvaluatorTest, ApproximateTruthFlagsAdjacentSamePairClaims) {
   // that is itself off-dataset.
   for (const LinkTruth& link : gt.links()) {
     for (const net::Ipv4Address endpoint : {link.addr_a, link.addr_b}) {
-      const graph::InterfaceRecord* record =
-          experiment().graph().find(endpoint);
-      if (record == nullptr) continue;
-      for (const auto& neighbors : {record->forward, record->backward}) {
-        for (const net::Ipv4Address neighbor : neighbors) {
+      const graph::InterfaceGraph& graph = experiment().graph();
+      const graph::HalfId record = graph.half_id(graph::forward_half(endpoint));
+      if (record >= graph.record_half_count()) continue;
+      for (const graph::HalfId half : {record, record + 1}) {
+        for (const graph::HalfId id : graph.neighbor_ids(half)) {
+          const net::Ipv4Address neighbor = graph.address_at(id);
           if (gt.link_of(neighbor) != nullptr) continue;
           if (gt.internal().contains(neighbor)) continue;
           // A claim on this adjacent interface naming the link's pair.
@@ -156,10 +157,11 @@ TEST_F(EvaluatorTest, FalseNegativesRequireEligibility) {
   const AsGroundTruth gt = experiment().ground_truth(target());
   const Verification v = experiment().evaluator().verify(gt, {});
   for (const LinkTruth& missing : v.false_negatives) {
-    const bool a_seen =
-        experiment().graph().find(missing.addr_a) != nullptr;
-    const bool b_seen =
-        experiment().graph().find(missing.addr_b) != nullptr;
+    const graph::InterfaceGraph& graph = experiment().graph();
+    const bool a_seen = graph.half_id(graph::forward_half(missing.addr_a)) <
+                        graph.record_half_count();
+    const bool b_seen = graph.half_id(graph::forward_half(missing.addr_b)) <
+                        graph.record_half_count();
     EXPECT_TRUE(a_seen || b_seen);
   }
 }

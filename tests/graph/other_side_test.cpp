@@ -71,6 +71,11 @@ TEST(OtherSide, Slash31FractionStatistic) {
   // 1.0.0.0 (/31 reserved), 1.0.0.1 (witness -> /31), 2.0.0.1 (/30).
   const OtherSideMap map = build({"1.0.0.0", "1.0.0.1", "2.0.0.1"});
   EXPECT_NEAR(map.slash31_fraction(), 2.0 / 3.0, 1e-9);
+  // Duplicates count once: the statistic is over distinct addresses.
+  const OtherSideMap dup = build(
+      {"2.0.0.1", "1.0.0.1", "1.0.0.0", "2.0.0.1", "1.0.0.0", "1.0.0.1"});
+  EXPECT_EQ(dup.size(), 3u);
+  EXPECT_NEAR(dup.slash31_fraction(), 2.0 / 3.0, 1e-9);
 }
 
 TEST(OtherSide, EmptyMap) {

@@ -140,6 +140,20 @@ std::string query_health(int port) {
   return reply;
 }
 
+/// Whether `line` holds `token` as a whole key=value field: followed by a
+/// space, a line break or the end of the line.
+bool has_token(const std::string& line, const std::string& token) {
+  for (std::size_t at = line.find(token); at != std::string::npos;
+       at = line.find(token, at + 1)) {
+    const std::size_t end = at + token.size();
+    if (end == line.size() || line[end] == ' ' || line[end] == '\n' ||
+        line[end] == '\r') {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// run_ingest on a worker thread: start(), then finish() to request a
 /// stop, join, and rethrow whatever the run threw (InjectedCrash included).
 class IngestRun {
@@ -402,19 +416,20 @@ TEST_F(RemoteIngestTest, SenderDrainMatchesColdAcrossThreadCounts) {
     EXPECT_GT(sent.last_acked_seq, 0u);
     EXPECT_EQ(sent.acked_offset, fs::file_size(send_path_));
 
-    // Satellite: HEALTH now reports live sessions and the ACK watermark.
+    // HEALTH reports live sessions and the ACK watermark. The runner
+    // refreshes last_ack after it sends the ACK, so poll for the exact
+    // final seq; a whole-token match keeps seq 1 from matching mon-a:12.
+    const std::string token =
+        "last_ack=mon-a:" + std::to_string(sent.last_acked_seq);
     std::string health;
     const auto deadline = std::chrono::steady_clock::now() + 5s;
     while (std::chrono::steady_clock::now() < deadline) {
       health = query_health(health_port);
-      if (health.find("last_ack=mon-a:") != std::string::npos) break;
+      if (has_token(health, token)) break;
       std::this_thread::sleep_for(20ms);
     }
     EXPECT_NE(health.find("sessions="), std::string::npos) << health;
-    EXPECT_NE(health.find("last_ack=mon-a:" +
-                          std::to_string(sent.last_acked_seq)),
-              std::string::npos)
-        << health;
+    EXPECT_TRUE(has_token(health, token)) << token << " in " << health;
 
     const ingest::IngestStats stats = run.finish();
     EXPECT_EQ(stats.remote_batches, sent.batches_acked);

@@ -25,6 +25,12 @@
 #                   sweep      differential baseline sweep vs DIFF_sweep.json
 #                   fuzz       bounded libFuzzer smoke via tools/fuzz.sh
 #                              (clang only; replays regressions first)
+#                   perfbench  benchmark self-test (perfbench/selftest.py):
+#                              builds the benchmark from this checkout in
+#                              .bench_build/ and runs every workload at
+#                              tiny scale, so a graph or store signature
+#                              change cannot break it silently (only via
+#                              STAGES; no legacy toggle)
 #                 Unset: the legacy per-stage toggles below pick the set.
 #                 A stage-timing table is printed on exit either way.
 #   BUILD_TYPE    CMake build type (default RelWithDebInfo)
@@ -773,6 +779,14 @@ stage_fuzz() {
   FUZZ_TIME="${FUZZ_TIME}" JOBS="${JOBS}" "${REPO_ROOT}/tools/fuzz.sh"
 }
 
+stage_perfbench() {
+  echo "== benchmark self-test =="
+  # The benchmark (BENCHMARK.json + perfbench/) builds its own copy of the
+  # program from this checkout; nothing else compiles it, so this stage is
+  # what catches a library signature change that would break it.
+  (cd "${REPO_ROOT}" && python3 perfbench/selftest.py)
+}
+
 # ---------------------------------------------------------------------------
 # Stage selection: STAGES wins; otherwise derive the list from the legacy
 # per-stage toggles so existing CI jobs keep working unchanged.
@@ -781,11 +795,12 @@ if [[ -n "${STAGES:-}" ]]; then
   for stage in $(echo "${STAGES}" | tr ',' ' '); do
     case "${stage}" in
       configure|build) ;;  # always run; listed for convenience
-      test|fault|checkpoint|bench|snapshot|async|ingest|remote|supervise|sweep|fuzz)
+      test|fault|checkpoint|bench|snapshot|async|ingest|remote|supervise|sweep|fuzz|perfbench)
         SELECTED+=("${stage}") ;;
       *)
         echo "ci.sh: unknown stage '${stage}' (valid: test fault checkpoint" \
-             "bench snapshot async ingest remote supervise sweep fuzz)" >&2
+             "bench snapshot async ingest remote supervise sweep fuzz" \
+             "perfbench)" >&2
         exit 2 ;;
     esac
   done
