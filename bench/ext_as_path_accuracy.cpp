@@ -35,7 +35,7 @@ int main() {
   std::size_t compared = 0, naive_exact = 0, inferred_exact = 0;
   std::size_t naive_extra_as = 0, inferred_extra_as = 0;
   for (std::size_t i = 0; i < experiment->corpus().size(); i += 11) {
-    const trace::Trace& t = experiment->corpus().traces()[i];
+    const trace::TraceRow t = experiment->corpus().traces()[i];
     const auto path =
         forwarder.path(simulator.monitors()[t.monitor].source_router,
                        t.destination, 0);

@@ -48,8 +48,7 @@ int main() {
 
   // 3. Sanitize, build the interface graph, run MAP-IT.
   const auto sanitized = trace::sanitize(corpus);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses);
 
   const asdata::As2Org orgs;          // no sibling data in this example
   asdata::AsRelationships rels;       // minimal relationship knowledge

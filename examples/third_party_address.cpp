@@ -37,8 +37,7 @@ int main() {
   const bgp::Ip2As ip2as(rib);
 
   const auto sanitized = trace::sanitize(corpus);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses);
 
   const asdata::As2Org orgs;
   asdata::AsRelationships rels;

@@ -5,8 +5,13 @@
 // mapit::Error. Anything else escaping (raw std exceptions, UB caught by
 // the sanitizers) is a finding. Lenient mode additionally must never throw
 // for line-level damage — it quarantines into the LoadReport instead.
+// Two equivalences abort on a mismatch: a corpus the strict reader accepts
+// must survive write_corpus -> read_corpus unchanged, and a lenient read
+// that quarantined nothing must equal the strict read.
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -17,11 +22,17 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
+  std::optional<mapit::trace::TraceCorpus> strict;
   try {
     std::istringstream in(text);
-    (void)mapit::trace::read_corpus(in, /*threads=*/1);
+    strict = mapit::trace::read_corpus(in, /*threads=*/1);
   } catch (const mapit::Error&) {
     // Expected rejection path.
+  }
+  if (strict) {
+    std::stringstream written;
+    mapit::trace::write_corpus(written, *strict);
+    if (!(mapit::trace::read_corpus(written, 1) == *strict)) std::abort();
   }
   {
     std::istringstream in(text);
@@ -29,7 +40,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto corpus = mapit::trace::read_corpus(in, /*threads=*/1, &report);
     // Exercise the quarantine summary formatting too.
     (void)report.summary("traces");
-    (void)corpus.traces().size();
+    if (report.skipped() == 0 && !(strict && corpus == *strict)) std::abort();
   }
   return 0;
 }

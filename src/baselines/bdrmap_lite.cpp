@@ -78,7 +78,7 @@ Claims bdrmap_lite(const trace::TraceCorpus& corpus,
   };
   std::unordered_map<net::Ipv4Address, Successors> successors;
 
-  for (const trace::Trace& trace : corpus.traces()) {
+  for (const trace::TraceRow trace : corpus.traces()) {
     if (!monitors.contains(trace.monitor)) continue;
     const asdata::Asn dest_as = ip2as.origin(trace.destination);
 
@@ -88,17 +88,17 @@ Claims bdrmap_lite(const trace::TraceCorpus& corpus,
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const trace::TraceHop& a = trace.hops[i];
       const trace::TraceHop& b = trace.hops[i + 1];
-      if (!a.address || !b.address) continue;
+      if (!a.responsive || !b.responsive) continue;
       if (b.probe_ttl != a.probe_ttl + 1) continue;
-      const asdata::Asn as_a = ip2as.origin(*a.address);
-      const asdata::Asn as_b = ip2as.origin(*b.address);
+      const asdata::Asn as_a = ip2as.origin(a.address);
+      const asdata::Asn as_b = ip2as.origin(b.address);
       if (!orgs.are_siblings(as_a, host_network)) continue;
       if (orgs.are_siblings(as_b, host_network)) {
-        successors[*a.address].host.insert(*b.address);
+        successors[a.address].host.insert(b.address);
         continue;
       }
       if (as_b == asdata::kUnknownAsn) continue;
-      successors[*a.address].foreign[as_b].insert(*b.address);
+      successors[a.address].foreign[as_b].insert(b.address);
 
       // Cone consistency (bdrmap's defence against third-party addresses):
       // the probe's destination must plausibly route through this
@@ -111,7 +111,7 @@ Claims bdrmap_lite(const trace::TraceCorpus& corpus,
         if (!cone.contains(as_b, dest_as)) continue;
       }
 
-      observations[Candidate{*a.address, *b.address, as_b}].emplace(
+      observations[Candidate{a.address, b.address, as_b}].emplace(
           trace.monitor, trace.destination);
     }
   }

@@ -59,14 +59,14 @@ Claims itdk_router_graph(const trace::TraceCorpus& corpus,
   //    (kapar's analytical merging goes wrong across router boundaries).
   UnionFind uf(clusters);
   std::unordered_set<std::uint64_t> considered;
-  for (const trace::Trace& trace : corpus.traces()) {
+  for (const trace::TraceRow trace : corpus.traces()) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const auto& h1 = trace.hops[i];
       const auto& h2 = trace.hops[i + 1];
-      if (!h1.address || !h2.address) continue;
+      if (!h1.responsive || !h2.responsive) continue;
       if (h2.probe_ttl != h1.probe_ttl + 1) continue;
-      const std::size_t c1 = cluster_of.at(*h1.address);
-      const std::size_t c2 = cluster_of.at(*h2.address);
+      const std::size_t c1 = cluster_of.at(h1.address);
+      const std::size_t c2 = cluster_of.at(h2.address);
       if (c1 == c2) continue;
       const std::uint64_t key = (std::uint64_t{static_cast<std::uint32_t>(
                                      std::min(c1, c2))}
@@ -102,20 +102,20 @@ Claims itdk_router_graph(const trace::TraceCorpus& corpus,
   // 4. Inter-AS links: every trace adjacency between routers assigned to
   //    different ASes claims the far-side interface.
   Claims claims;
-  for (const trace::Trace& trace : corpus.traces()) {
+  for (const trace::TraceRow trace : corpus.traces()) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const auto& h1 = trace.hops[i];
       const auto& h2 = trace.hops[i + 1];
-      if (!h1.address || !h2.address) continue;
+      if (!h1.responsive || !h2.responsive) continue;
       if (h2.probe_ttl != h1.probe_ttl + 1) continue;
-      const std::size_t n1 = uf.find(cluster_of.at(*h1.address));
-      const std::size_t n2 = uf.find(cluster_of.at(*h2.address));
+      const std::size_t n1 = uf.find(cluster_of.at(h1.address));
+      const std::size_t n2 = uf.find(cluster_of.at(h2.address));
       if (n1 == n2) continue;
       auto a1 = node_as.find(n1);
       auto a2 = node_as.find(n2);
       if (a1 == node_as.end() || a2 == node_as.end()) continue;
       if (a1->second == a2->second) continue;
-      claims.push_back(make_claim(*h2.address, a1->second, a2->second));
+      claims.push_back(make_claim(h2.address, a1->second, a2->second));
     }
   }
   normalize(claims);

@@ -8,17 +8,17 @@ template <typename PairFn>
 Claims scan_adjacent(const trace::TraceCorpus& corpus, const bgp::Ip2As& ip2as,
                      PairFn&& emit) {
   Claims claims;
-  for (const trace::Trace& trace : corpus.traces()) {
+  for (const trace::TraceRow trace : corpus.traces()) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const trace::TraceHop& h1 = trace.hops[i];
       const trace::TraceHop& h2 = trace.hops[i + 1];
-      if (!h1.address || !h2.address) continue;
+      if (!h1.responsive || !h2.responsive) continue;
       if (h2.probe_ttl != h1.probe_ttl + 1) continue;
-      const asdata::Asn as1 = ip2as.origin(*h1.address);
-      const asdata::Asn as2 = ip2as.origin(*h2.address);
+      const asdata::Asn as1 = ip2as.origin(h1.address);
+      const asdata::Asn as2 = ip2as.origin(h2.address);
       if (as1 == asdata::kUnknownAsn || as2 == asdata::kUnknownAsn) continue;
       if (as1 == as2) continue;
-      emit(claims, *h1.address, as1, *h2.address, as2);
+      emit(claims, h1.address, as1, h2.address, as2);
     }
   }
   normalize(claims);

@@ -31,18 +31,18 @@ asdata::Asn PathAnnotator::attribute(net::Ipv4Address address) const {
   return ip2as_.origin(address);
 }
 
-AnnotatedPath PathAnnotator::annotate(const trace::Trace& trace) const {
+AnnotatedPath PathAnnotator::annotate(trace::TraceRow trace) const {
   AnnotatedPath out;
   out.hops.reserve(trace.hops.size());
   for (const trace::TraceHop& hop : trace.hops) {
     AnnotatedHop annotated;
-    annotated.address = hop.address;
-    if (hop.address) {
-      annotated.origin = ip2as_.origin(*hop.address);
-      annotated.inferred = attribute(*hop.address);
+    if (hop.responsive) {
+      annotated.address = hop.address;
+      annotated.origin = ip2as_.origin(hop.address);
+      annotated.inferred = attribute(hop.address);
       annotated.border =
-          by_half_.contains({*hop.address, graph::Direction::kForward}) ||
-          by_half_.contains({*hop.address, graph::Direction::kBackward});
+          by_half_.contains({hop.address, graph::Direction::kForward}) ||
+          by_half_.contains({hop.address, graph::Direction::kBackward});
     }
     out.hops.push_back(annotated);
 

@@ -50,7 +50,7 @@ class PathAnnotator {
   /// outlive the annotator.
   PathAnnotator(const Result& result, const bgp::Ip2As& ip2as);
 
-  [[nodiscard]] AnnotatedPath annotate(const trace::Trace& trace) const;
+  [[nodiscard]] AnnotatedPath annotate(trace::TraceRow trace) const;
 
   /// Router attribution for a single address (origin when no inference).
   [[nodiscard]] asdata::Asn attribute(net::Ipv4Address address) const;

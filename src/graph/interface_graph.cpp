@@ -56,18 +56,18 @@ void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
 std::vector<std::uint64_t> InterfaceGraph::edges_of(
     const trace::TraceCorpus& sanitized) {
   std::unordered_set<std::uint64_t> unique;
-  for (const trace::Trace& trace : sanitized.traces()) {
+  for (const trace::TraceRow trace : sanitized.traces()) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const trace::TraceHop& a = trace.hops[i];
       const trace::TraceHop& b = trace.hops[i + 1];
-      if (!a.address || !b.address) continue;           // null hops break adjacency
-      if (b.probe_ttl != a.probe_ttl + 1) continue;     // must be one hop apart
-      if (*a.address == *b.address) continue;           // never own neighbour
-      if (net::is_special_purpose(*a.address) ||
-          net::is_special_purpose(*b.address)) {
+      if (!a.responsive || !b.responsive) continue;   // null hops break adjacency
+      if (b.probe_ttl != a.probe_ttl + 1) continue;   // must be one hop apart
+      if (a.address == b.address) continue;           // never own neighbour
+      if (net::is_special_purpose(a.address) ||
+          net::is_special_purpose(b.address)) {
         continue;  // private/shared addresses excluded from Ns (§4.3)
       }
-      unique.insert(pack(a.address->value(), b.address->value()));
+      unique.insert(pack(a.address.value(), b.address.value()));
     }
   }
   std::vector<std::uint64_t> edges(unique.begin(), unique.end());

@@ -37,9 +37,8 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
     const trace::TraceCorpus corpus = trace::read_corpus(
         stream, options_.threads, setup.lenient ? &trace_report_ : nullptr);
     base_traces_ = corpus.size();
-    all_addresses_ = corpus.distinct_addresses();
-    const trace::SanitizeResult sanitized =
-        trace::sanitize(corpus, options_.threads);
+    trace::SanitizeResult sanitized = trace::sanitize(corpus, options_.threads);
+    all_addresses_ = std::move(sanitized.all_addresses);
     graph_ = std::make_unique<graph::InterfaceGraph>(
         sanitized.clean, all_addresses_, options_.threads);
   }
@@ -83,11 +82,12 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
 void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
   if (raw_delta.empty()) return;
   delta_traces_ += raw_delta.size();
-  // Witness population first: the other-side heuristic must see the
-  // addresses of traces the sanitizer is about to discard.
-  merge_sorted_unique(all_addresses_, raw_delta.distinct_addresses());
+  // The witness population grows by the delta's raw addresses: the
+  // other-side heuristic must see the addresses of traces the sanitizer
+  // discards.
   const trace::SanitizeResult sanitized =
       trace::sanitize(raw_delta, options_.threads);
+  merge_sorted_unique(all_addresses_, sanitized.all_addresses);
   graph_->fold(sanitized.clean, all_addresses_, options_.threads);
 }
 

@@ -1,6 +1,5 @@
 #include "net/ipv4.h"
 
-#include <array>
 #include <ostream>
 
 #include "net/error.h"
@@ -8,29 +7,30 @@
 namespace mapit::net {
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
-  std::array<std::uint32_t, 4> octets{};
-  std::size_t pos = 0;
+  // Hot in every text loader (one call per trace hop), so one pointer walk:
+  // four octets of 1-3 digits, each at most 255, separated by single dots.
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  auto digit = [&](const char* at) {
+    return at != end && static_cast<unsigned char>(*at - '0') < 10;
+  };
+  std::uint32_t value = 0;
   for (int i = 0; i < 4; ++i) {
-    if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
-      return std::nullopt;
+    if (i > 0) {
+      if (p == end || *p != '.') return std::nullopt;
+      ++p;
     }
-    std::uint32_t value = 0;
-    std::size_t digits = 0;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-      value = value * 10 + static_cast<std::uint32_t>(text[pos] - '0');
-      ++digits;
-      ++pos;
-      if (digits > 3 || value > 255) return std::nullopt;
+    const char* const first = p;
+    std::uint32_t octet = 0;
+    while (p - first < 3 && digit(p)) {
+      octet = octet * 10 + static_cast<std::uint32_t>(*p - '0');
+      ++p;
     }
-    octets[static_cast<std::size_t>(i)] = value;
-    if (i < 3) {
-      if (pos >= text.size() || text[pos] != '.') return std::nullopt;
-      ++pos;
-    }
+    if (p == first || octet > 255 || digit(p)) return std::nullopt;
+    value = value << 8 | octet;
   }
-  if (pos != text.size()) return std::nullopt;
-  return Ipv4Address((octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) |
-                     octets[3]);
+  if (p != end) return std::nullopt;
+  return Ipv4Address(value);
 }
 
 Ipv4Address Ipv4Address::parse_or_throw(std::string_view text) {

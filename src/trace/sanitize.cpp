@@ -1,74 +1,51 @@
 #include "trace/sanitize.h"
 
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "parallel/thread_pool.h"
+#include "trace/address_table.h"
 
 namespace mapit::trace {
 
-Trace strip_ttl0_hops(const Trace& trace, std::size_t* removed) {
-  Trace out;
-  out.monitor = trace.monitor;
-  out.destination = trace.destination;
-  out.hops.reserve(trace.hops.size());
-  for (const TraceHop& hop : trace.hops) {
-    if (hop.address && hop.quoted_ttl && *hop.quoted_ttl == 0) {
-      if (removed != nullptr) ++*removed;
-      continue;
-    }
-    out.hops.push_back(hop);
-  }
-  return out;
-}
-
 SanitizeResult sanitize(const TraceCorpus& corpus, unsigned threads) {
+  // The cycle check is per trace, so workers run it over disjoint ranges;
+  // one sequential pass then strips, compacts and counts both populations.
+  std::vector<char> kept(corpus.size());
+  const unsigned resolved = parallel::resolve_threads(threads);
+  std::optional<parallel::ThreadPool> pool;
+  if (resolved > 1 && corpus.size() > 1) pool.emplace(resolved);
+  parallel::for_ranges(
+      pool ? &*pool : nullptr, corpus.size(),
+      [&](unsigned, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          kept[i] = !has_interface_cycle(corpus.row(i), /*skip_ttl0=*/true);
+        }
+      });
+
+  constexpr std::uint8_t kSeen = 1;      // responds in the input
+  constexpr std::uint8_t kRetained = 2;  // responds in a kept, unstripped hop
   SanitizeResult result;
   result.stats.input_traces = corpus.size();
-  result.stats.input_addresses = corpus.distinct_addresses().size();
-
-  const std::vector<Trace>& traces = corpus.traces();
-  const unsigned resolved = parallel::resolve_threads(threads);
-  if (resolved > 1 && traces.size() > 1) {
-    // Per-trace sanitization is independent: workers clean disjoint chunks
-    // into index-addressed slots (nullopt = discarded for a cycle) and
-    // count stripped hops per worker. The sequential fold below then
-    // preserves corpus order and sums the counters — identical output and
-    // stats to the single-threaded loop.
-    parallel::ThreadPool pool(resolved);
-    std::vector<std::optional<Trace>> cleaned(traces.size());
-    std::vector<std::size_t> removed_hops(pool.size(), 0);
-    pool.for_ranges(traces.size(), [&](unsigned worker, std::size_t begin,
-                                       std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        Trace clean = strip_ttl0_hops(traces[i], &removed_hops[worker]);
-        if (!clean.has_interface_cycle()) cleaned[i] = std::move(clean);
+  AddressTable addresses;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const TraceRow trace = corpus.row(i);
+    for (const TraceHop& hop : trace.hops) {
+      const bool retained = kept[i] && !hop.quotes_ttl0();
+      if (hop.quotes_ttl0()) ++result.stats.removed_ttl0_hops;
+      if (hop.responsive) {
+        addresses.mark(hop.address, retained ? kSeen | kRetained : kSeen);
       }
-    });
-    for (std::size_t removed : removed_hops) {
-      result.stats.removed_ttl0_hops += removed;
+      if (retained) result.clean.push_hop(hop);
     }
-    for (std::optional<Trace>& clean : cleaned) {
-      if (clean) {
-        result.clean.add(std::move(*clean));
-      } else {
-        ++result.stats.discarded_traces;
-      }
-    }
-  } else {
-    for (const Trace& trace : traces) {
-      Trace cleaned = strip_ttl0_hops(trace, &result.stats.removed_ttl0_hops);
-      if (cleaned.has_interface_cycle()) {
-        ++result.stats.discarded_traces;
-        continue;
-      }
-      result.clean.add(std::move(cleaned));
+    if (kept[i]) {
+      result.clean.close_trace(trace.monitor, trace.destination);
+    } else {
+      ++result.stats.discarded_traces;
     }
   }
-
-  result.stats.retained_addresses =
-      result.clean.distinct_addresses().size();
+  result.all_addresses = addresses.sorted(kSeen);
+  result.stats.input_addresses = result.all_addresses.size();
+  result.stats.retained_addresses = addresses.sorted(kRetained).size();
   return result;
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "trace/trace.h"
 
@@ -40,22 +41,18 @@ struct SanitizeStats {
 struct SanitizeResult {
   TraceCorpus clean;
   SanitizeStats stats;
+  /// The input's distinct_addresses(): the §4.2 other-side population,
+  /// which includes discarded traces.
+  std::vector<net::Ipv4Address> all_addresses;
 };
 
-/// Returns a copy of `hops`-stripped, cycle-free traces plus statistics.
-/// TTL-0 hop removal happens *before* the cycle check, mirroring the paper's
-/// step order ("After sanitizing a trace, we attempt to identify if load
-/// balancing or a transient routing change occurred").
-///
-/// Each trace is sanitized independently, so `threads` workers process
-/// trace chunks concurrently (0 = one per hardware thread, 1 = the
-/// sequential path). Retained traces keep corpus order and per-worker hop
-/// counters are summed, so the result is identical for every thread count.
+/// Returns the TTL-0-stripped, cycle-free traces plus statistics, in one
+/// pass over the hops. TTL-0 hop removal happens *before* the cycle check,
+/// mirroring the paper's step order ("After sanitizing a trace, we attempt
+/// to identify if load balancing or a transient routing change occurred").
+/// `threads` workers run the cycle checks (0 = one per hardware thread,
+/// 1 = sequential); the result is identical for every thread count.
 [[nodiscard]] SanitizeResult sanitize(const TraceCorpus& corpus,
                                       unsigned threads = 1);
-
-/// Removes quoted-TTL-0 hops from one trace, preserving the other hops.
-[[nodiscard]] Trace strip_ttl0_hops(const Trace& trace,
-                                    std::size_t* removed = nullptr);
 
 }  // namespace mapit::trace

@@ -1,66 +1,77 @@
 #include "trace/trace.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include "trace/address_table.h"
 
 namespace mapit::trace {
 
-std::size_t Trace::responsive_hops() const {
-  return static_cast<std::size_t>(
-      std::count_if(hops.begin(), hops.end(),
-                    [](const TraceHop& hop) { return hop.address.has_value(); }));
+std::size_t responsive_hops(TraceRow trace) {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      trace.hops, [](const TraceHop& hop) { return hop.responsive; }));
 }
 
-bool Trace::has_interface_cycle() const {
-  // For each responsive hop, remember the index of its previous occurrence;
-  // a cycle needs a *different* address strictly between the two.
-  std::unordered_map<net::Ipv4Address, std::size_t> last_seen;
-  std::vector<net::Ipv4Address> responsive;
-  responsive.reserve(hops.size());
-  for (const TraceHop& hop : hops) {
-    if (hop.address) responsive.push_back(*hop.address);
-  }
-  for (std::size_t i = 0; i < responsive.size(); ++i) {
-    auto it = last_seen.find(responsive[i]);
-    if (it != last_seen.end()) {
-      for (std::size_t j = it->second + 1; j < i; ++j) {
-        if (responsive[j] != responsive[i]) return true;
-      }
+bool has_interface_cycle(TraceRow trace, bool skip_ttl0) {
+  // A cycle is an address that starts two runs of responsive hops ('*'s
+  // inside a run included). Keep the run starts, and search them only when
+  // a 64-bit filter says the address may have started one before.
+  thread_local std::vector<std::uint32_t> starts;
+  starts.clear();
+  std::uint64_t filter = 0;
+  for (const TraceHop& hop : trace.hops) {
+    if (!hop.responsive || (skip_ttl0 && hop.quotes_ttl0())) continue;
+    const std::uint32_t address = hop.address.value();
+    if (!starts.empty() && starts.back() == address) continue;
+    const std::uint64_t bit = std::uint64_t{1} << (address * 0x9E3779B1U >> 26);
+    if ((filter & bit) != 0 && std::ranges::count(starts, address) != 0) {
+      return true;
     }
-    last_seen[responsive[i]] = i;
+    filter |= bit;
+    starts.push_back(address);
   }
   return false;
 }
 
+void TraceCorpus::add(TraceRow trace) {
+  hops_.insert(hops_.end(), trace.hops.begin(), trace.hops.end());
+  close_trace(trace.monitor, trace.destination);
+}
+
+void TraceCorpus::append(const TraceCorpus& other) {
+  for (std::size_t end : other.ends_) ends_.push_back(hops_.size() + end);
+  hops_.insert(hops_.end(), other.hops_.begin(), other.hops_.end());
+  monitors_.insert(monitors_.end(), other.monitors_.begin(),
+                   other.monitors_.end());
+  destinations_.insert(destinations_.end(), other.destinations_.begin(),
+                       other.destinations_.end());
+}
+
+void TraceCorpus::close_trace(MonitorId monitor,
+                              net::Ipv4Address destination) {
+  ends_.push_back(hops_.size());
+  monitors_.push_back(monitor);
+  destinations_.push_back(destination);
+}
+
 std::vector<net::Ipv4Address> TraceCorpus::distinct_addresses() const {
-  std::unordered_set<net::Ipv4Address> seen;
-  for (const Trace& trace : traces_) {
-    for (const TraceHop& hop : trace.hops) {
-      if (hop.address) seen.insert(*hop.address);
-    }
+  AddressTable seen;
+  for (const TraceHop& hop : hops_) {
+    if (hop.responsive) seen.mark(hop.address, 1);
   }
-  std::vector<net::Ipv4Address> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return seen.sorted(1);
 }
 
 std::vector<net::Ipv4Address> TraceCorpus::adjacent_addresses() const {
-  std::unordered_set<net::Ipv4Address> seen;
-  for (const Trace& trace : traces_) {
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const TraceHop& a = trace.hops[i];
-      const TraceHop& b = trace.hops[i + 1];
-      if (a.address && b.address &&
-          b.probe_ttl == a.probe_ttl + 1) {
-        seen.insert(*a.address);
-        seen.insert(*b.address);
+  AddressTable seen;
+  for (const TraceRow trace : traces()) {
+    for (std::size_t h = 1; h < trace.hops.size(); ++h) {
+      const TraceHop& a = trace.hops[h - 1];
+      const TraceHop& b = trace.hops[h];
+      if (a.responsive && b.responsive && b.probe_ttl == a.probe_ttl + 1) {
+        seen.mark(a.address, 1);
+        seen.mark(b.address, 1);
       }
     }
   }
-  std::vector<net::Ipv4Address> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return seen.sorted(1);
 }
 
 }  // namespace mapit::trace

@@ -3,7 +3,6 @@
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <utility>
 #include <vector>
 
 #include "net/error.h"
@@ -14,185 +13,193 @@ namespace mapit::trace {
 
 namespace {
 
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(text.substr(start));
-      return out;
-    }
-    out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
+/// Bytes each worker parses per read: cache-sized, a few thousand lines.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 18;
+constexpr std::size_t kNpos = std::string_view::npos;
+
+std::string bad(std::string_view what, std::string_view text) {
+  return std::string(what) + " '" + std::string(text) + "'";
+}
+
+/// Parses one hop token at `ttl` into `out`; returns the error on failure.
+std::optional<std::string> parse_hop(std::string_view token, std::uint8_t ttl,
+                                     TraceCorpus& out) {
+  if (token == "*") {
+    out.push_hop(TraceHop::silent(ttl));
+    return std::nullopt;
   }
+  const std::size_t at = std::min(token.find('@'), token.size());
+  std::optional<std::uint8_t> quoted_ttl;
+  if (at < token.size()) {
+    const std::string_view digits = token.substr(at + 1);
+    const auto value =
+        digits.size() > 3 ? std::nullopt : net::parse_uint<unsigned>(digits);
+    if (!value) return bad("bad quoted TTL in hop", token);
+    if (*value > 255) return bad("quoted TTL out of range in hop", token);
+    quoted_ttl = static_cast<std::uint8_t>(*value);
+  }
+  const auto address = net::Ipv4Address::parse(token.substr(0, at));
+  if (!address) return bad("bad address in hop", token);
+  out.push_hop(TraceHop::reply(ttl, *address, quoted_ttl));
+  return std::nullopt;
 }
 
-[[noreturn]] void fail(std::string_view context, std::string_view detail) {
-  throw ParseError(std::string(context) + ": " + std::string(detail));
-}
-
-TraceHop parse_hop(std::string_view token, std::uint8_t ttl,
-                   std::string_view context) {
-  TraceHop hop;
-  hop.probe_ttl = ttl;
-  if (token == "*") return hop;
-  std::string_view addr_text = token;
-  const std::size_t at = token.find('@');
-  if (at != std::string_view::npos) {
-    addr_text = token.substr(0, at);
-    const std::string_view quoted_text = token.substr(at + 1);
-    if (quoted_text.empty() || quoted_text.size() > 3) {
-      fail(context, "bad quoted TTL in hop '" + std::string(token) + "'");
+/// Parses one line straight into `out`'s columns. On failure, returns the
+/// error and leaves `out` as it was.
+std::optional<std::string> parse_line(std::string_view line,
+                                      TraceCorpus& out) {
+  const std::size_t bar1 = line.find('|');
+  const std::size_t bar2 = bar1 == kNpos ? kNpos : line.find('|', bar1 + 1);
+  if (bar2 == kNpos || line.find('|', bar2 + 1) != kNpos) {
+    return "expected 'monitor|destination|hops'";
+  }
+  const auto monitor = net::parse_uint<MonitorId>(line.substr(0, bar1));
+  if (!monitor) return bad("bad monitor id", line.substr(0, bar1));
+  const std::string_view destination_text =
+      line.substr(bar1 + 1, bar2 - bar1 - 1);
+  const auto destination = net::Ipv4Address::parse(destination_text);
+  if (!destination) return bad("bad destination", destination_text);
+  std::uint8_t ttl = 0;
+  for (std::size_t pos = bar2 + 1; pos < line.size();) {
+    const std::size_t end = std::min(line.find(' ', pos), line.size());
+    const std::string_view token = line.substr(pos, end - pos);
+    pos = end + 1;
+    if (token.empty()) continue;
+    auto error = ttl == 255 ? std::optional<std::string>("more than 255 hops")
+                            : parse_hop(token, ++ttl, out);
+    if (error) {
+      out.drop_open_hops();
+      return error;
     }
-    unsigned value = 0;
-    for (char c : quoted_text) {
-      if (c < '0' || c > '9') {
-        fail(context, "bad quoted TTL in hop '" + std::string(token) + "'");
+  }
+  out.close_trace(*monitor, *destination);
+  return std::nullopt;
+}
+
+/// One worker's share of a block: its failures, with line numbers and byte
+/// offsets relative to the chunk, and the traces it parsed (unless it is
+/// the first chunk, which parses straight into the corpus).
+struct Chunk {
+  TraceCorpus traces;
+  std::size_t lines = 0;
+  std::vector<LoadReport::Offender> failures;
+};
+
+void parse_chunk(std::string_view text, bool strict, TraceCorpus& out,
+                 Chunk& chunk) {
+  for (std::size_t pos = 0; pos < text.size(); ++chunk.lines) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, end - pos);
+    if (line.ends_with('\r')) line.remove_suffix(1);  // CRLF line ending
+    if (!line.empty() && line[0] != '#') {
+      if (auto error = parse_line(line, out)) {
+        chunk.failures.push_back({chunk.lines, pos, std::move(*error)});
+        if (strict) return;
       }
-      value = value * 10 + static_cast<unsigned>(c - '0');
     }
-    if (value > 255) {
-      fail(context, "quoted TTL out of range in hop '" + std::string(token) + "'");
-    }
-    hop.quoted_ttl = static_cast<std::uint8_t>(value);
+    pos = end + 1;
   }
-  const auto address = net::Ipv4Address::parse(addr_text);
-  if (!address) {
-    fail(context, "bad address in hop '" + std::string(token) + "'");
-  }
-  hop.address = *address;
-  return hop;
 }
 
 }  // namespace
 
-std::string format_trace(const Trace& trace) {
+std::string format_trace(TraceRow trace) {
   std::string out = std::to_string(trace.monitor);
   out.push_back('|');
   out += trace.destination.to_string();
   out.push_back('|');
-  bool first = true;
   for (const TraceHop& hop : trace.hops) {
-    if (!first) out.push_back(' ');
-    first = false;
-    if (!hop.address) {
+    if (&hop != trace.hops.data()) out.push_back(' ');
+    if (!hop.responsive) {
       out.push_back('*');
       continue;
     }
-    out += hop.address->to_string();
-    if (hop.quoted_ttl) {
-      out.push_back('@');
-      out += std::to_string(*hop.quoted_ttl);
-    }
+    out += hop.address.to_string();
+    if (hop.quoted) out += "@" + std::to_string(hop.quoted_ttl);
   }
   return out;
 }
 
 Trace parse_trace(std::string_view line, std::string_view context) {
-  const auto fields = split(line, '|');
-  if (fields.size() != 3) {
-    fail(context, "expected 'monitor|destination|hops'");
+  TraceCorpus one;
+  if (auto error = parse_line(line, one)) {
+    throw ParseError(std::string(context) + ": " + *error);
   }
-  Trace trace;
-  const auto monitor = net::parse_uint<MonitorId>(fields[0]);
-  if (!monitor) {
-    fail(context, "bad monitor id '" + std::string(fields[0]) + "'");
-  }
-  trace.monitor = *monitor;
-  const auto destination = net::Ipv4Address::parse(fields[1]);
-  if (!destination) {
-    fail(context, "bad destination '" + std::string(fields[1]) + "'");
-  }
-  trace.destination = *destination;
-  std::uint8_t ttl = 0;
-  if (!fields[2].empty()) {
-    for (std::string_view token : split(fields[2], ' ')) {
-      if (token.empty()) continue;
-      if (ttl == 255) fail(context, "more than 255 hops");
-      ++ttl;
-      trace.hops.push_back(parse_hop(token, ttl, context));
-    }
-  }
-  return trace;
+  const TraceRow row = one.row(0);
+  return {row.monitor, row.destination, {row.hops.begin(), row.hops.end()}};
 }
 
 void write_corpus(std::ostream& out, const TraceCorpus& corpus) {
   out << "# mapit trace corpus v1: monitor|destination|hop hop ...\n";
-  for (const Trace& trace : corpus.traces()) {
+  for (const TraceRow trace : corpus.traces()) {
     out << format_trace(trace) << '\n';
   }
 }
 
 TraceCorpus read_corpus(std::istream& in, unsigned threads,
                         LoadReport* report) {
-  // Slurp the payload lines first: parsing dominates the I/O, and
-  // line-indexed result slots make the parallel parse's trace order
-  // identical to the sequential reader's.
-  std::vector<std::string> lines;
-  std::vector<std::size_t> line_numbers;
-  std::vector<std::size_t> line_offsets;
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t offset = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // getline consumes the line plus exactly one '\n', so the next line
-    // starts size()+1 bytes later (exact even for CRLF input — the '\r'
-    // stays in `line` and is counted).
-    const std::size_t line_start = offset;
-    offset += line.size() + 1;
-    if (line.empty() || line[0] == '#') continue;
-    lines.push_back(std::move(line));
-    line_numbers.push_back(line_no);
-    line_offsets.push_back(line_start);
-  }
-
-  std::vector<Trace> traces(lines.size());
-  // Lenient mode: per-slot error strings instead of exceptions. Slots keep
-  // file order, so merging them afterwards yields the sequential reader's
-  // LoadReport for any thread count.
-  std::vector<std::string> errors(report != nullptr ? lines.size() : 0);
-  const unsigned resolved = parallel::resolve_threads(threads);
+  const unsigned workers = parallel::resolve_threads(threads);
   std::optional<parallel::ThreadPool> pool;
-  if (resolved > 1 && lines.size() > 1) pool.emplace(resolved);
-  // On a malformed corpus in strict mode the lowest-indexed failing
-  // worker's exception is rethrown; worker ranges ascend and each stops at
-  // its first bad line, so that is exactly the error the sequential reader
-  // reports.
-  parallel::for_ranges(
-      pool ? &*pool : nullptr, lines.size(),
-      [&](unsigned, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          // Line number for humans, byte offset so a fuzzer crash (or any
-          // tool holding the raw bytes) maps straight to the input.
-          const std::string context =
-              "trace line " + std::to_string(line_numbers[i]) + " (byte " +
-              std::to_string(line_offsets[i]) + ")";
-          if (report == nullptr) {
-            traces[i] = parse_trace(lines[i], context);
-            continue;
-          }
-          try {
-            traces[i] = parse_trace(lines[i], context);
-          } catch (const ParseError& e) {
-            errors[i] = e.what();
-          }
-        }
-      });
-  if (report == nullptr) return TraceCorpus(std::move(traces));
-
-  std::vector<Trace> kept;
-  kept.reserve(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (errors[i].empty()) {
-      kept.push_back(std::move(traces[i]));
-    } else {
-      report->record(line_numbers[i], line_offsets[i], std::move(errors[i]));
+  std::vector<Chunk> chunks(workers);
+  TraceCorpus corpus;
+  std::string buffer;       // a carried-over partial line, then a new block
+  std::size_t line_no = 0;  // lines before `buffer`
+  std::size_t offset = 0;   // bytes before `buffer`
+  for (bool eof = false; !eof;) {
+    const std::size_t carried = buffer.size();
+    const std::size_t want = kBlockBytes * workers;
+    buffer.resize(carried + want);
+    in.read(buffer.data() + carried, static_cast<std::streamsize>(want));
+    buffer.resize(carried + static_cast<std::size_t>(in.gcount()));
+    eof = buffer.size() < carried + want;
+    // Parse through the last complete line, or to the end once input ends;
+    // the carried bytes hold no '\n'.
+    const std::size_t newline =
+        std::string_view(buffer).substr(carried).rfind('\n');
+    const std::size_t ready =
+        eof ? buffer.size() : newline == kNpos ? 0 : carried + newline + 1;
+    // One chunk per worker, each cut at the first line start at or past an
+    // equal share of the bytes.
+    const std::string_view text(buffer.data(), ready);
+    std::vector<std::size_t> cuts{0};
+    for (unsigned w = 1; w <= workers; ++w) {
+      const std::size_t start = std::max(cuts.back(), ready * w / workers);
+      const std::size_t at = start == 0 ? kNpos : text.find('\n', start - 1);
+      cuts.push_back(at == kNpos ? ready : at + 1);
     }
+    if (!pool && cuts[1] < ready) pool.emplace(workers);
+    parallel::for_ranges(
+        pool ? &*pool : nullptr, workers,
+        [&](unsigned, std::size_t begin, std::size_t end) {
+          for (std::size_t c = begin; c < end; ++c) {
+            chunks[c] = Chunk{};
+            parse_chunk(text.substr(cuts[c], cuts[c + 1] - cuts[c]),
+                        report == nullptr, c == 0 ? corpus : chunks[c].traces,
+                        chunks[c]);
+          }
+        });
+    // Merge in file order. Every chunk before the first failure parsed
+    // cleanly, so in strict mode that failure is the sequential reader's.
+    // Only failed lines pay for their error context.
+    for (std::size_t c = 0; c < workers; ++c) {
+      for (LoadReport::Offender& failure : chunks[c].failures) {
+        failure.line_no += line_no + 1;
+        failure.byte_offset += offset + cuts[c];
+        std::string message = "trace line " + std::to_string(failure.line_no) +
+                              " (byte " + std::to_string(failure.byte_offset) +
+                              "): " + failure.error;
+        if (report == nullptr) throw ParseError(message);
+        report->record(failure.line_no, failure.byte_offset,
+                       std::move(message));
+      }
+      if (c > 0) corpus.append(chunks[c].traces);
+      line_no += chunks[c].lines;
+    }
+    offset += ready;
+    buffer.erase(0, ready);
   }
-  report->add_loaded(kept.size());
-  return TraceCorpus(std::move(kept));
+  if (report != nullptr) report->add_loaded(corpus.size());
+  return corpus;
 }
 
 }  // namespace mapit::trace

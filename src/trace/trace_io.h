@@ -23,7 +23,7 @@
 namespace mapit::trace {
 
 /// Serializes one trace to its line representation (no trailing newline).
-[[nodiscard]] std::string format_trace(const Trace& trace);
+[[nodiscard]] std::string format_trace(TraceRow trace);
 
 /// Parses one line. Throws mapit::ParseError with `context` on failure.
 [[nodiscard]] Trace parse_trace(std::string_view line,
@@ -33,19 +33,20 @@ namespace mapit::trace {
 void write_corpus(std::ostream& out, const TraceCorpus& corpus);
 
 /// Reads a corpus written by write_corpus (or hand-authored in the same
-/// format).
+/// format). A line may end in CRLF: its '\r' is dropped, but still counted
+/// in byte offsets.
 ///
 /// Strict mode (`report == nullptr`, the default) throws mapit::ParseError
 /// naming the first offending line. Lenient mode (`report != nullptr`)
 /// quarantines instead: malformed lines are skipped and counted into
 /// `*report` (line numbers ascending), and every well-formed line loads.
 ///
-/// `threads` workers parse line chunks concurrently (0 = one per hardware
-/// thread, 1 = the sequential reader). The result is byte-identical for
-/// every thread count: traces keep file order, the strict-mode error is
-/// the one the sequential reader would hit first (workers own ascending
-/// line ranges and stop at their first failure), and the lenient-mode
-/// LoadReport is the sequential reader's report exactly.
+/// The stream is read in fixed-size blocks; `threads` workers (0 = one per
+/// hardware thread, 1 = the sequential reader) parse line-aligned chunks of
+/// each block concurrently. The result is byte-identical for every thread
+/// count: traces keep file order, the strict-mode error is the one the
+/// sequential reader would hit first, and the lenient-mode LoadReport is
+/// the sequential reader's report exactly.
 [[nodiscard]] TraceCorpus read_corpus(std::istream& in, unsigned threads = 1,
                                       LoadReport* report = nullptr);
 

@@ -161,8 +161,7 @@ trace::Trace TracerouteSimulator::probe(const Monitor& monitor,
     const route::RouterHop& hop = hops[i];
     const topo::Router& router = net_.router(hop.router);
     const topo::AsInfo& owner = net_.as_info(router.owner);
-    trace::TraceHop th;
-    th.probe_ttl = static_cast<std::uint8_t>(i + 1);
+    const auto ttl = static_cast<std::uint8_t>(i + 1);
 
     // Buggy routers forward TTL=1 probes; the *next* router answers,
     // quoting TTL 0 (§4.1).
@@ -170,17 +169,19 @@ trace::Trace TracerouteSimulator::probe(const Monitor& monitor,
       if (i + 1 < hops.size()) {
         const route::RouterHop& next = hops[i + 1];
         const topo::Router& next_router = net_.router(next.router);
-        th.address = next.in_link != topo::kNoLink
-                         ? net_.link(next.in_link).address_on(next.router)
-                         : router_address(next.router);
+        net::Ipv4Address address =
+            next.in_link != topo::kNoLink
+                ? net_.link(next.in_link).address_on(next.router)
+                : router_address(next.router);
         // NAT stubs mask even these replies.
         const topo::AsInfo& next_owner = net_.as_info(next_router.owner);
         if (next_owner.nat_stub && next_owner.nat_address) {
-          th.address = *next_owner.nat_address;
+          address = *next_owner.nat_address;
         }
-        th.quoted_ttl = 0;
+        out.hops.push_back(trace::TraceHop::reply(ttl, address, 0));
+      } else {
+        out.hops.push_back(trace::TraceHop::silent(ttl));
       }
-      out.hops.push_back(th);
       continue;
     }
 
@@ -188,40 +189,37 @@ trace::Trace TracerouteSimulator::probe(const Monitor& monitor,
     const bool silenced_border = owner.border_replies_disabled && router.border;
     if (silenced_border || coin(rng) >= router.reply_probability ||
         coin(rng) < config_.hop_loss_prob) {
-      out.hops.push_back(th);  // '*'
+      out.hops.push_back(trace::TraceHop::silent(ttl));  // '*'
       continue;
     }
 
     if (owner.nat_stub && owner.nat_address) {
-      th.address = *owner.nat_address;
-      th.quoted_ttl = 1;
-      out.hops.push_back(th);
+      out.hops.push_back(trace::TraceHop::reply(ttl, *owner.nat_address, 1));
       continue;
     }
 
+    net::Ipv4Address address;
     if (router.replies_with_egress) {
-      th.address = reply_egress_address(hop.router, monitor);
+      address = reply_egress_address(hop.router, monitor);
     } else if (hop.in_link != topo::kNoLink) {
-      th.address = net_.link(hop.in_link).address_on(hop.router);
+      address = net_.link(hop.in_link).address_on(hop.router);
     } else {
-      th.address = router_address(hop.router);
+      address = router_address(hop.router);
     }
-    th.quoted_ttl = 1;
-    out.hops.push_back(th);
+    out.hops.push_back(trace::TraceHop::reply(ttl, address, 1));
   }
 
   // Destination echo reply. A host behind a NAT'd stub answers from the
   // stub's NAT address, not its internal one.
   if (limit == hops.size() && coin(rng) < config_.dest_reply_prob) {
-    trace::TraceHop th;
-    th.probe_ttl = static_cast<std::uint8_t>(limit + 1);
-    th.address = destination;
+    net::Ipv4Address address = destination;
     const asdata::Asn dest_as = forwarder_.true_origin(destination);
     if (dest_as != asdata::kUnknownAsn) {
       const topo::AsInfo& owner = net_.as_info(dest_as);
-      if (owner.nat_stub && owner.nat_address) th.address = *owner.nat_address;
+      if (owner.nat_stub && owner.nat_address) address = *owner.nat_address;
     }
-    out.hops.push_back(th);
+    out.hops.push_back(
+        trace::TraceHop::reply(static_cast<std::uint8_t>(limit + 1), address));
   }
   return out;
 }

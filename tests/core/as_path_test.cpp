@@ -100,7 +100,7 @@ TEST(PathAnnotator, BeatsNaiveMappingOnGeneratedCorpus) {
 
   std::size_t naive_correct = 0, inferred_correct = 0, compared = 0;
   for (std::size_t i = 0; i < experiment->corpus().size(); i += 37) {
-    const trace::Trace& t = experiment->corpus().traces()[i];
+    const trace::TraceRow t = experiment->corpus().traces()[i];
     // True AS sequence from the forwarding plane (skip artifact traces
     // where hops do not map to routers).
     const auto path =

@@ -46,15 +46,15 @@ TEST(ArtifactToggles, CleanWorldEmitsPureIngressTraces) {
   const TracerouteSimulator simulator(net, forwarder, quiet_sim());
   const trace::TraceCorpus corpus = simulator.run_campaign(nullptr);
   ASSERT_GT(corpus.size(), 100u);
-  for (const trace::Trace& t : corpus.traces()) {
+  for (const trace::TraceRow t : corpus.traces()) {
     for (const trace::TraceHop& hop : t.hops) {
       // No silence, no quoted TTL 0, and every address is a real interface
       // reported by the router that owns it.
-      ASSERT_TRUE(hop.address.has_value());
-      EXPECT_NE(net.router_of_address(*hop.address), topo::kNoRouter);
-      EXPECT_NE(hop.quoted_ttl.value_or(1), 0);
+      ASSERT_TRUE(hop.responsive);
+      EXPECT_NE(net.router_of_address(hop.address), topo::kNoRouter);
+      EXPECT_FALSE(hop.quotes_ttl0());
     }
-    EXPECT_FALSE(t.has_interface_cycle());
+    EXPECT_FALSE(trace::has_interface_cycle(t));
   }
   const auto sanitized = trace::sanitize(corpus);
   EXPECT_EQ(sanitized.stats.discarded_traces, 0u);
@@ -83,8 +83,8 @@ TEST(ArtifactToggles, EgressReplyRoutersChangeReportedAddresses) {
   ASSERT_EQ(clean.size(), egress.size());
   std::size_t differing_hops = 0;
   for (std::size_t i = 0; i < clean.size(); ++i) {
-    const auto& a = clean.traces()[i].hops;
-    const auto& b = egress.traces()[i].hops;
+    const auto a = clean.traces()[i].hops;
+    const auto b = egress.traces()[i].hops;
     for (std::size_t h = 0; h < std::min(a.size(), b.size()); ++h) {
       if (a[h].address != b[h].address) ++differing_hops;
     }
@@ -102,10 +102,10 @@ TEST(ArtifactToggles, LossKnobControlsSilence) {
   const trace::TraceCorpus corpus =
       TracerouteSimulator(net, forwarder, lossy).run_campaign(nullptr);
   std::size_t total = 0, silent = 0;
-  for (const trace::Trace& t : corpus.traces()) {
+  for (const trace::TraceRow t : corpus.traces()) {
     for (const trace::TraceHop& hop : t.hops) {
       ++total;
-      if (!hop.address) ++silent;
+      if (!hop.responsive) ++silent;
     }
   }
   const double fraction =
@@ -135,8 +135,9 @@ TEST(ArtifactToggles, DestinationEchoKnob) {
   const trace::TraceCorpus corpus =
       TracerouteSimulator(net, forwarder, echo).run_campaign(nullptr);
   std::size_t echoes = 0;
-  for (const trace::Trace& t : corpus.traces()) {
-    if (!t.hops.empty() && t.hops.back().address == t.destination) ++echoes;
+  for (const trace::TraceRow t : corpus.traces()) {
+    if (!t.hops.empty() && t.hops.back().responsive &&
+        t.hops.back().address == t.destination) ++echoes;
   }
   // Every complete trace ends with the destination answering.
   EXPECT_GT(echoes, corpus.size() / 2);

@@ -94,8 +94,8 @@ TEST_F(SimulatorTest, ReportedAddressesAreIngressInterfaces) {
   for (std::size_t i = 0; i < destinations.size() && checked < 200; ++i) {
     const trace::Trace t = simulator_.probe(monitor, destinations[i]);
     for (const trace::TraceHop& hop : t.hops) {
-      if (!hop.address) continue;
-      const topo::RouterId router = net_.router_of_address(*hop.address);
+      if (!hop.responsive) continue;
+      const topo::RouterId router = net_.router_of_address(hop.address);
       if (router == topo::kNoRouter) continue;  // NAT address or dest echo
       ++checked;
     }
@@ -119,13 +119,13 @@ TEST_F(SimulatorTest, NatStubsAnswerWithTheirNatAddress) {
   for (const Monitor& monitor : simulator_.monitors()) {
     const trace::Trace t = simulator_.probe(monitor, destination);
     for (const trace::TraceHop& hop : t.hops) {
-      if (!hop.address) continue;
-      const topo::RouterId router = net_.router_of_address(*hop.address);
+      if (!hop.responsive) continue;
+      const topo::RouterId router = net_.router_of_address(hop.address);
       if (router != topo::kNoRouter &&
           net_.router(router).owner == nat_stub->asn) {
-        FAIL() << "NAT stub leaked a real interface " << *hop.address;
+        FAIL() << "NAT stub leaked a real interface " << hop.address;
       }
-      if (*hop.address == *nat_stub->nat_address) saw_nat_address = true;
+      if (hop.address == *nat_stub->nat_address) saw_nat_address = true;
     }
   }
   EXPECT_TRUE(saw_nat_address);
@@ -135,9 +135,9 @@ TEST_F(SimulatorTest, BuggyRoutersProduceQuotedTtl0) {
   SimulatorStats stats;
   const trace::TraceCorpus corpus = simulator_.run_campaign(&stats);
   std::size_t quoted0 = 0;
-  for (const trace::Trace& t : corpus.traces()) {
+  for (const trace::TraceRow t : corpus.traces()) {
     for (const trace::TraceHop& hop : t.hops) {
-      if (hop.address && hop.quoted_ttl && *hop.quoted_ttl == 0) ++quoted0;
+      if (hop.responsive && hop.quoted && hop.quoted_ttl == 0) ++quoted0;
     }
   }
   EXPECT_GT(quoted0, 0u) << "buggy routers should surface quoted TTL 0";
@@ -149,9 +149,9 @@ TEST_F(SimulatorTest, BuggyRoutersProduceQuotedTtl0) {
 TEST_F(SimulatorTest, CampaignHasUnresponsiveHops) {
   const trace::TraceCorpus corpus = simulator_.run_campaign(nullptr);
   std::size_t nulls = 0;
-  for (const trace::Trace& t : corpus.traces()) {
+  for (const trace::TraceRow t : corpus.traces()) {
     for (const trace::TraceHop& hop : t.hops) {
-      if (!hop.address) ++nulls;
+      if (!hop.responsive) ++nulls;
     }
   }
   EXPECT_GT(nulls, 0u);

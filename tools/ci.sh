@@ -9,7 +9,8 @@
 #                   fault      fault-injection matrices (ctest -L fault)
 #                   checkpoint kill/resume matrix through the real binary
 #                   bench      bench smoke + inference-count tripwire
-#                   snapshot   CLI snapshot + golden queries + CRC tripwire
+#                   snapshot   CLI snapshot + golden queries + CRLF cmp +
+#                              CRC tripwire
 #                   async      epoll server smoke over both wire protocols
 #                   ingest     streaming-ingest smoke: cold-vs-incremental
 #                              equivalence + kill-mid-journal resume
@@ -312,6 +313,17 @@ stage_snapshot() {
     < "${REPO_ROOT}/tests/cli/golden_queries.txt" > "${work}/answers.txt"
   diff -u "${REPO_ROOT}/tests/cli/golden_answers.txt" "${work}/answers.txt"
   echo "golden query answers: ok"
+
+  echo "== snapshot from a CRLF corpus =="
+  # The same traces with CRLF line endings must give the same bytes.
+  sed 's/$/\r/' "${work}/traces.txt" > "${work}/traces_crlf.txt"
+  "${mapit_bin}" snapshot \
+    --traces "${work}/traces_crlf.txt" --rib "${work}/rib.txt" \
+    --relationships "${work}/relationships.txt" \
+    --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
+    --out "${work}/snapshot_crlf.bin"
+  cmp "${work}/snapshot.bin" "${work}/snapshot_crlf.bin"
+  echo "CRLF snapshot == LF snapshot: ok"
 
   echo "== snapshot crash matrix =="
   # Crash-at-every-injection-point proof for the artifact the smoke above

@@ -449,19 +449,17 @@ struct CheckpointSetup {
 };
 
 /// Everything the `run`-shaped subcommands (run, snapshot) share: datasets
-/// loaded, traces sanitized, interface graph and IP2AS composite built.
-/// Later members reference earlier ones (ip2as points at ixps), so the
-/// struct is heap-held and immovable once built.
+/// loaded, interface graph and IP2AS composite built (the traces are only
+/// needed to build the graph). Later members reference earlier ones (ip2as
+/// points at ixps), so the struct is heap-held and immovable once built.
 struct RunPipeline {
   core::Options options;
   std::optional<CheckpointSetup> checkpoint;
   core::SupervisorOptions supervisor;
-  trace::TraceCorpus corpus;
   bgp::Rib rib;
   asdata::AsRelationships rels;
   asdata::As2Org orgs;
   asdata::IxpRegistry ixps;
-  trace::SanitizeResult sanitized;
   std::unique_ptr<graph::InterfaceGraph> graph;
   std::unique_ptr<bgp::Ip2As> ip2as;
 
@@ -547,8 +545,8 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
   LoadReport trace_report;
   LoadReport rib_report;
   auto traces_stream = open_or_die(*traces_path);
-  pipeline->corpus = trace::read_corpus(traces_stream, options.threads,
-                                        lenient ? &trace_report : nullptr);
+  trace::TraceCorpus corpus = trace::read_corpus(
+      traces_stream, options.threads, lenient ? &trace_report : nullptr);
   auto rib_stream = open_or_die(*rib_path);
   pipeline->rib = bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
   if (lenient) {
@@ -590,15 +588,15 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
     setup.meta.datasets_fingerprint = datasets;
   }
 
-  pipeline->sanitized = trace::sanitize(pipeline->corpus, options.threads);
-  std::cerr << "sanitized " << pipeline->corpus.size() << " traces ("
-            << pipeline->sanitized.stats.discarded_traces << " discarded, "
-            << pipeline->sanitized.stats.removed_ttl0_hops
-            << " TTL=0 hops removed)\n";
+  const trace::SanitizeResult sanitized =
+      trace::sanitize(corpus, options.threads);
+  std::cerr << "sanitized " << corpus.size() << " traces ("
+            << sanitized.stats.discarded_traces << " discarded, "
+            << sanitized.stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
+  corpus = {};  // the raw traces are done with; free them before the build
 
-  const auto all_addresses = pipeline->corpus.distinct_addresses();
   pipeline->graph = std::make_unique<graph::InterfaceGraph>(
-      pipeline->sanitized.clean, all_addresses, options.threads);
+      sanitized.clean, sanitized.all_addresses, options.threads);
   pipeline->ip2as = std::make_unique<bgp::Ip2As>(
       pipeline->rib, net::PrefixTrie<asdata::Asn>{}, &pipeline->ixps);
   std::cerr << "interface graph: " << pipeline->graph->size()
@@ -1357,8 +1355,8 @@ int cmd_paths(Args& args) {
   }
 
   const auto sanitized = trace::sanitize(corpus, threads);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses, threads);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses,
+                                    threads);
   const bgp::Ip2As ip2as(rib, net::PrefixTrie<asdata::Asn>{}, &ixps);
   core::Options paths_options;
   paths_options.threads = threads;
@@ -1373,7 +1371,7 @@ int cmd_paths(Args& args) {
     std::cout << "\n";
   };
   std::size_t shown = 0;
-  for (const trace::Trace& t : sanitized.clean.traces()) {
+  for (const trace::TraceRow t : sanitized.clean.traces()) {
     if (shown >= limit) break;
     const core::AnnotatedPath annotated = annotator.annotate(t);
     if (annotated.as_path == annotated.naive_as_path) continue;  // boring
@@ -1463,8 +1461,8 @@ int cmd_stats(Args& args) {
       trace::read_corpus(stream, threads, lenient ? &trace_report : nullptr);
   if (lenient) report_quarantine("traces", trace_report);
   const auto sanitized = trace::sanitize(corpus, threads);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses, threads);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses,
+                                    threads);
   const graph::GraphStats gs = graph.stats();
 
   std::cout << "traces                : " << corpus.size() << "\n"
