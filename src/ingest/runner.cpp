@@ -1,18 +1,15 @@
 #include "ingest/runner.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cerrno>
 #include <cstdio>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +20,7 @@
 #include "ingest/transport.h"
 #include "net/error.h"
 #include "net/load_report.h"
+#include "query/event_loop.h"
 #include "query/server.h"
 #include "trace/trace_io.h"
 
@@ -54,14 +52,16 @@ void interruptible_sleep(double seconds, const std::atomic<bool>* stop) {
   }
 }
 
-/// What the ingest loop shares with the HEALTH endpoint thread.
+/// What the HEALTH sessions on the socket loop report.
 struct HealthState {
   Clock::time_point started = Clock::now();
   std::atomic<bool> degraded{false};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> publishes{0};
   std::atomic<std::size_t> pending{0};
-  std::atomic<std::size_t> sessions{0};  ///< authenticated MDP1 connections
+  /// The MDP1 side, read live (both thread-safe); set before the loop runs.
+  const TransportServer* transport = nullptr;
+  const WatermarkTable* watermarks = nullptr;
 
   void set_error(const std::string& message) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -71,129 +71,68 @@ struct HealthState {
     const std::lock_guard<std::mutex> lock(mutex_);
     return last_error_;
   }
-  void set_last_ack(const std::string& value) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    last_ack_ = value;
-  }
-  [[nodiscard]] std::string last_ack() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return last_ack_;
-  }
 
  private:
   mutable std::mutex mutex_;
   std::string last_error_;
-  std::string last_ack_;
 };
 
-/// The ingest process's answer to `mapit supervise` liveness probes: one
-/// connection at a time, read one request line, answer a single status
-/// line, close. Deliberately minimal — probes are rare and tiny, and the
-/// real intake has its own socket.
-///
-/// Connections are served strictly in turn, so the wait for a request
-/// line is what a silent peer costs every probe queued behind it. The
-/// line's content is ignored anyway, so the whole wait is bounded far
-/// below the supervisor's probe budget (1 s by default): a peer that
-/// connects and says nothing, or trickles bytes without a newline, gets
-/// the status line after kRequestWait, and the probe behind it is
-/// answered in time.
-class HealthEndpoint {
- public:
-  HealthEndpoint(std::uint16_t port, const HealthState& state, fault::Io& io)
-      : state_(&state), io_(&io) {
-    query::ServerOptions options;
-    options.port = port;
-    listen_fd_ =
-        query::detail::bind_listener(options, /*nonblocking=*/false, &port_);
-    thread_ = std::thread([this] { loop(); });
-  }
-  HealthEndpoint(const HealthEndpoint&) = delete;
-  HealthEndpoint& operator=(const HealthEndpoint&) = delete;
-  ~HealthEndpoint() {
-    stopping_.store(true);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    if (thread_.joinable()) thread_.join();
-    ::close(listen_fd_);
-  }
+/// The ingest process's status line for `mapit supervise` liveness probes
+/// and operators. Field order and the "OK " prefix are what probes parse.
+std::string health_line(const HealthState& state) {
+  const auto uptime = std::chrono::duration_cast<std::chrono::seconds>(
+                          Clock::now() - state.started)
+                          .count();
+  std::string line = "OK degraded=";
+  line += state.degraded.load(std::memory_order_relaxed) ? '1' : '0';
+  line += " uptime=" + std::to_string(uptime);
+  line += " batches=" +
+          std::to_string(state.batches.load(std::memory_order_relaxed));
+  line += " publishes=" +
+          std::to_string(state.publishes.load(std::memory_order_relaxed));
+  line += " pending=" +
+          std::to_string(state.pending.load(std::memory_order_relaxed));
+  std::string last_ack;
+  const auto last = state.transport != nullptr ? state.watermarks->last_ack()
+                                               : std::nullopt;
+  if (last) last_ack = last->first + ":" + std::to_string(last->second.seq);
+  line += " sessions=" + std::to_string(state.transport != nullptr
+                                            ? state.transport->sessions()
+                                            : 0);
+  line += " last_ack=" + query::health_token(last_ack);
+  line += " last_error=" + query::health_token(state.error()) + "\n";
+  return line;
+}
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+/// One HEALTH probe connection. The request's content is ignored: the
+/// status line goes out at its first '\n', at the peer's EOF, or
+/// kRequestWait after accept, whichever comes first, and the connection
+/// closes. A peer that connects and says nothing costs the loop one timer,
+/// never a probe beside it.
+class HealthSession final : public query::Session {
+ public:
+  HealthSession(const HealthState& state, query::SteadyTime now)
+      : state_(&state), deadline_(now + kRequestWait) {}
+
+  bool feed(std::string_view bytes, query::SteadyTime now,
+            std::string& out) override {
+    if (!bytes.empty() && bytes.find('\n') == std::string_view::npos) {
+      return true;  // still waiting for the request line
+    }
+    return on_deadline(now, out);
+  }
+  [[nodiscard]] query::SteadyTime deadline() const override {
+    return deadline_;
+  }
+  bool on_deadline(query::SteadyTime, std::string& out) override {
+    out += health_line(*state_);
+    return false;
+  }
 
  private:
-  void loop() {
-    while (!stopping_.load()) {
-      const int fd =
-          io_->accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (stopping_.load()) break;
-        if (errno == EINTR) continue;
-        if (query::detail::transient_accept_error(errno)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds{1});
-          continue;
-        }
-        break;
-      }
-      answer(fd);
-      ::close(fd);
-    }
-  }
-
-  /// Longest wait for a request line before answering regardless.
-  static constexpr std::chrono::microseconds kRequestWait{100'000};
-
-  void answer(int fd) {
-    const Clock::time_point deadline = Clock::now() + kRequestWait;
-    char buffer[256];
-    std::string request;
-    while (request.find('\n') == std::string::npos &&
-           request.size() < sizeof(buffer)) {
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) break;
-      struct ::timeval timeout{0, static_cast<::suseconds_t>(left.count())};
-      (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof(timeout));
-      const ssize_t n = io_->recv(fd, buffer, sizeof(buffer), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;  // EOF, timeout, or error: answer what we can
-      request.append(buffer, static_cast<std::size_t>(n));
-    }
-    const auto uptime =
-        std::chrono::duration_cast<std::chrono::seconds>(Clock::now() -
-                                                         state_->started)
-            .count();
-    std::string error = state_->error();
-    if (error.empty()) error = "none";
-    for (char& c : error) {
-      if (c == ' ' || c == '\n' || c == '\r' || c == '\t') c = '_';
-    }
-    std::string last_ack = state_->last_ack();
-    if (last_ack.empty()) last_ack = "none";
-    for (char& c : last_ack) {
-      if (c == ' ' || c == '\n' || c == '\r' || c == '\t') c = '_';
-    }
-    std::string line = "OK degraded=";
-    line += state_->degraded.load(std::memory_order_relaxed) ? '1' : '0';
-    line += " uptime=" + std::to_string(uptime);
-    line += " batches=" +
-            std::to_string(state_->batches.load(std::memory_order_relaxed));
-    line += " publishes=" + std::to_string(state_->publishes.load(
-                                std::memory_order_relaxed));
-    line += " pending=" +
-            std::to_string(state_->pending.load(std::memory_order_relaxed));
-    line += " sessions=" +
-            std::to_string(state_->sessions.load(std::memory_order_relaxed));
-    line += " last_ack=" + last_ack;
-    line += " last_error=" + error + "\n";
-    (void)io_->send(fd, line.data(), line.size(), MSG_NOSIGNAL);
-  }
-
+  static constexpr std::chrono::milliseconds kRequestWait{100};
   const HealthState* state_;
-  fault::Io* io_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
+  query::SteadyTime deadline_;
 };
 
 }  // namespace
@@ -292,17 +231,53 @@ IngestStats run_ingest(const IngestOptions& options,
   std::uint64_t total_traces = journal_traces;
   pipeline.fold(replay_corpus);
 
+  // One loop thread serves every socket of the run: the HEALTH endpoint
+  // and the MDP1 listener. Batches a sender delivers before the replayed
+  // state is published wait in the transport's queue. Declaration order
+  // matters: the loop is destroyed (stopped) before the transport and the
+  // health state its sessions point into.
   HealthState health;
-  std::optional<HealthEndpoint> health_endpoint;
+  std::optional<TransportServer> transport;
+  std::optional<query::EventLoop> sockets;
+  if (options.health_port >= 0 || options.listen_port >= 0) {
+    sockets.emplace(io);
+  }
   if (options.health_port >= 0) {
-    health_endpoint.emplace(static_cast<std::uint16_t>(options.health_port),
-                            health, io);
-    stats.health_port = health_endpoint->port();
+    query::ServerOptions health_options;
+    health_options.port = static_cast<std::uint16_t>(options.health_port);
+    stats.health_port = sockets->listen(
+        health_options, [&health](std::uint64_t, query::SteadyTime now) {
+          return std::make_unique<HealthSession>(health, now);
+        });
     if (options.log != nullptr) {
       *options.log << "ingest: health endpoint on 127.0.0.1:"
-                   << health_endpoint->port() << "\n";
+                   << stats.health_port << "\n";
     }
   }
+  if (options.listen_port >= 0) {
+    TransportServerOptions server_options;
+    server_options.port = static_cast<std::uint16_t>(options.listen_port);
+    server_options.secret = options.secret;
+    server_options.meta = pipeline.meta();
+    server_options.max_inflight_batches = options.max_inflight_batches;
+    server_options.heartbeat_seconds = options.transport_heartbeat_seconds;
+    server_options.deadline_seconds = options.transport_deadline_seconds;
+    transport.emplace(server_options, watermarks, *sockets);
+    health.transport = &*transport;
+    health.watermarks = &watermarks;
+    stats.listen_port = transport->port();
+    if (options.log != nullptr) {
+      char fingerprint_hex[17];
+      std::snprintf(fingerprint_hex, sizeof(fingerprint_hex), "%016llx",
+                    static_cast<unsigned long long>(
+                        combined_fingerprint(pipeline.meta())));
+      *options.log << "ingest: listening (MDP1) on 127.0.0.1:"
+                   << transport->port() << ", base fingerprint "
+                   << fingerprint_hex << "\n";
+    }
+  }
+
+  if (sockets) sockets->start();
 
   // ---- the flush machine --------------------------------------------------
   // One batch moves through journal -> fold -> publish -> commit. A stage
@@ -468,28 +443,6 @@ IngestStats run_ingest(const IngestOptions& options,
   if (!options.follow_path.empty()) {
     tailer.emplace(options.follow_path, follow_offset, io);
   }
-  std::optional<TransportServer> transport;
-  if (options.listen_port >= 0) {
-    TransportServerOptions server_options;
-    server_options.port = static_cast<std::uint16_t>(options.listen_port);
-    server_options.secret = options.secret;
-    server_options.meta = pipeline.meta();
-    server_options.max_inflight_batches = options.max_inflight_batches;
-    server_options.heartbeat_seconds = options.transport_heartbeat_seconds;
-    server_options.deadline_seconds = options.transport_deadline_seconds;
-    transport.emplace(server_options, watermarks, io);
-    stats.listen_port = transport->port();
-    if (options.log != nullptr) {
-      char fingerprint_hex[17];
-      std::snprintf(fingerprint_hex, sizeof(fingerprint_hex), "%016llx",
-                    static_cast<unsigned long long>(
-                        combined_fingerprint(pipeline.meta())));
-      *options.log << "ingest: listening (MDP1) on 127.0.0.1:"
-                   << transport->port() << ", base fingerprint "
-                   << fingerprint_hex << "\n";
-    }
-  }
-
   std::vector<SourceLine> incoming;
   std::vector<PendingLine> pending;
   Clock::time_point first_pending{};
@@ -655,6 +608,9 @@ IngestStats run_ingest(const IngestOptions& options,
                                       : options.batch_lines * 10;
 
   while (true) {
+    // An exception that ended the socket loop (an injected crash in an ACK
+    // send, say) ends the run here, as if it had been thrown inline.
+    if (sockets) sockets->rethrow_failure();
     const bool stopping = stop != nullptr && stop->load();
     // Advance an in-flight flush first: immediately when healthy, at the
     // retry cadence while degraded — and once more when stopping, a last
@@ -722,14 +678,6 @@ IngestStats run_ingest(const IngestOptions& options,
     stats.quarantined = delta_report.skipped();
     health.pending.store(pending.size() + flush.inflight.size(),
                          std::memory_order_relaxed);
-    if (transport) {
-      health.sessions.store(transport->sessions(),
-                            std::memory_order_relaxed);
-      if (const auto last = watermarks.last_ack()) {
-        health.set_last_ack(last->first + ":" +
-                            std::to_string(last->second.seq));
-      }
-    }
 
     bool due = flush.stage == Stage::kIdle &&
                pending.size() >= options.batch_lines;
@@ -764,7 +712,8 @@ IngestStats run_ingest(const IngestOptions& options,
     }
   }
 
-  // Duplicates are dropped at two levels: connection threads re-ACK
+  if (sockets) sockets->rethrow_failure();
+  // Duplicates are dropped at two levels: MDP1 sessions re-ACK
   // batches already at-or-below the durable watermark (the common resend
   // path), and attempt_remote catches the race where the duplicate was
   // queued before the watermark advanced. The stat reports both.

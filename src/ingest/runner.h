@@ -36,6 +36,12 @@
 // follow file (SourceRotatedError) stay fatal — those are not conditions
 // that clear on their own. The optional HEALTH endpoint (`health_port`)
 // reports `degraded=` so `mapit supervise` can see the state.
+//
+// Sockets: the HEALTH endpoint and the MDP1 listener (`listen_port`) are
+// two listeners on one query::EventLoop thread, whatever the number of
+// connections. The ingest loop hands that thread ACKs and takes queued
+// batches from it; it never touches a socket itself, and an exception
+// that ends the socket loop is rethrown from run_ingest.
 #pragma once
 
 #include <atomic>

@@ -1,20 +1,11 @@
 #include "ingest/transport.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <random>
 #include <utility>
 
 #include "core/wire.h"
-#include "query/server.h"
 
 namespace mapit::ingest {
 
@@ -25,8 +16,6 @@ using core::wire::append_u16;
 using core::wire::append_u32;
 using core::wire::append_u64;
 using core::wire::crc32;
-
-using Clock = std::chrono::steady_clock;
 
 // ---- SHA-256 (FIPS 180-4; self-contained like core/wire's CRC table) ----
 
@@ -116,17 +105,18 @@ template <typename Parse>
   }
 }
 
-void set_socket_timeout(int fd, double seconds) {
-  struct ::timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(
-                                             tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
+/// Global bound on accepted-but-not-yet-journaled batches; past it every
+/// session stops reading (TCP backpressure).
+constexpr std::size_t kMaxQueuedBatches = 256;
 
-/// Poll granularity of the connection read loop: short enough to notice a
-/// missed heartbeat promptly, long enough to stay off the scheduler.
-constexpr double kReadSliceSeconds = 0.2;
+constexpr char kPlaintextRefusal[] =
+    "ERR this port speaks MDP1 (framed transport); use `mapit send` to "
+    "deliver delta lines\n";
+
+[[nodiscard]] std::chrono::steady_clock::duration to_duration(double seconds) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(seconds));
+}
 
 }  // namespace
 
@@ -455,413 +445,350 @@ void WatermarkTable::note_ack(const std::string& session) {
   if (marks_.count(session) != 0) last_ack_session_ = session;
 }
 
+// ---- TransportIntake -----------------------------------------------------
+
+bool TransportIntake::has_room(std::uint64_t connection_id) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (queue_.size() < kMaxQueuedBatches) return true;
+  waiting_.push_back(connection_id);  // a repeat only costs a spare wakeup
+  return false;
+}
+
+void TransportIntake::push(ReceivedBatch batch) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  queue_.push_back(std::move(batch));
+  batches.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::size_t TransportIntake::drain(std::vector<ReceivedBatch>& out,
+                                   std::vector<std::uint64_t>& woken) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t count = queue_.size();
+  for (ReceivedBatch& batch : queue_) out.push_back(std::move(batch));
+  queue_.clear();
+  woken = std::exchange(waiting_, {});
+  return count;
+}
+
+// ---- ServerSession -------------------------------------------------------
+
+namespace {
+
+class ServerSession final : public query::Session {
+ public:
+  ServerSession(const TransportServerOptions& options,
+                WatermarkTable& watermarks, TransportIntake& intake,
+                std::uint64_t connection_id,
+                const std::array<std::uint8_t, kTransportNonceSize>& nonce,
+                query::SteadyTime now)
+      : options_(&options),
+        watermarks_(&watermarks),
+        intake_(&intake),
+        id_(connection_id),
+        nonce_(nonce),
+        fingerprint_(combined_fingerprint(options.meta)),
+        last_rx_(now),
+        last_tx_(now) {}
+  ~ServerSession() override { finish(); }
+
+  bool feed(std::string_view bytes, query::SteadyTime now,
+            std::string& out) override {
+    return guarded(out, [&] {
+      if (bytes.empty()) {  // peer half-closed: nothing more will come
+        finish();
+        return;
+      }
+      last_rx_ = now;
+      // Stream magic: decided at the first byte that leaves it.
+      while (state_ == State::kMagic && !bytes.empty()) {
+        if (bytes.front() != kTransportMagic[magic_seen_]) {
+          // Not an MDP1 client: one-line diagnosis, clean close.
+          intake_->refused_plaintext.fetch_add(1, std::memory_order_relaxed);
+          out += kPlaintextRefusal;
+          finish();
+          return;
+        }
+        bytes.remove_prefix(1);
+        if (++magic_seen_ == sizeof(kTransportMagic)) {
+          send(serialize_challenge(ChallengeFrame{
+                   .base_fingerprint = fingerprint_, .nonce = nonce_}),
+               now, out);
+          state_ = State::kHello;
+        }
+      }
+      reader_.append(bytes);
+      take_frames(now, out);
+    });
+  }
+
+  [[nodiscard]] bool may_read() const override { return !blocked_; }
+
+  [[nodiscard]] query::SteadyTime deadline() const override {
+    return std::min(read_deadline(), heartbeat_due());
+  }
+
+  bool on_deadline(query::SteadyTime now, std::string& out) override {
+    if (now >= read_deadline()) {
+      finish();  // peer presumed dead
+      return false;
+    }
+    if (now >= heartbeat_due()) {
+      send(serialize_frame(FrameType::kHeartbeat, ""), now, out);
+    }
+    return true;
+  }
+
+  /// One of this session's batches is durable: the cumulative ACK, one
+  /// inflight slot back, and the frames that waited for it.
+  bool ack(std::uint64_t seq, std::uint64_t end_offset,
+           query::SteadyTime now, std::string& out) {
+    if (inflight_ > 0) --inflight_;
+    send(serialize_ack(AckFrame{.seq = seq, .end_offset = end_offset}), now,
+         out);
+    return resume(now, out);
+  }
+
+  /// Room again (quota or queue): takes the frames that waited for it.
+  bool resume(query::SteadyTime now, std::string& out) {
+    return guarded(out, [&] {
+      if (blocked_) last_rx_ = now;  // the wait was ours, not the peer's
+      take_frames(now, out);
+    });
+  }
+
+ private:
+  enum class State { kMagic, kHello, kStream, kDone };
+
+  /// When a silent peer counts as dead. A session paused by its own quota
+  /// is not waiting on the peer.
+  [[nodiscard]] query::SteadyTime read_deadline() const {
+    return options_->deadline_seconds > 0 && !blocked_ &&
+                   state_ != State::kDone
+               ? last_rx_ + to_duration(options_->deadline_seconds)
+               : query::SteadyTime::max();
+  }
+
+  /// When an idle link next owes the peer a HEARTBEAT.
+  [[nodiscard]] query::SteadyTime heartbeat_due() const {
+    return options_->heartbeat_seconds > 0 &&
+                   (state_ == State::kHello || state_ == State::kStream)
+               ? last_tx_ + to_duration(options_->heartbeat_seconds)
+               : query::SteadyTime::max();
+  }
+
+  /// Runs `step`; a TransportError (malformed peer bytes) ends the session
+  /// with a kProtocol ERROR. False once the session has ended.
+  template <typename Step>
+  bool guarded(std::string& out, Step step) {
+    if (state_ == State::kDone) return false;
+    try {
+      step();
+    } catch (const TransportError& error) {
+      reject(TransportErrorCode::kProtocol, error.what(), out);
+    }
+    return state_ != State::kDone;
+  }
+
+  /// Takes every complete frame it has room for. Throws TransportError.
+  void take_frames(query::SteadyTime now, std::string& out) {
+    Frame frame;
+    while (state_ == State::kHello || state_ == State::kStream) {
+      // Room for one more batch — the inflight quota, then the shared
+      // queue — or stop: reading pauses (TCP backpressure) until the
+      // server hands this session an ACK or queue room.
+      blocked_ = state_ == State::kStream &&
+                 (inflight_ >= options_->max_inflight_batches ||
+                  !intake_->has_room(id_));
+      if (blocked_ || !reader_.next(frame)) return;
+      if (frame.type == FrameType::kHeartbeat) continue;
+      if (state_ == State::kHello) {
+        on_hello(frame, now, out);
+      } else {
+        on_batch(frame, now, out);
+      }
+    }
+  }
+
+  void on_hello(const Frame& frame, query::SteadyTime now, std::string& out) {
+    const auto refuse = [&](TransportErrorCode code, const std::string& why) {
+      intake_->handshake_rejects.fetch_add(1, std::memory_order_relaxed);
+      reject(code, why, out);
+    };
+    if (frame.type != FrameType::kHello) {
+      refuse(TransportErrorCode::kProtocol, "expected HELLO after CHALLENGE");
+      return;
+    }
+    const HelloFrame hello = parse_hello(frame.payload);
+    if (hello.version != kTransportVersion) {
+      refuse(TransportErrorCode::kProtocol,
+             "unsupported MDP1 version " + std::to_string(hello.version));
+    } else if (hello.base_fingerprint != fingerprint_) {
+      refuse(TransportErrorCode::kBaseMismatch,
+             "sender pins a different base run (fingerprint mismatch)");
+    } else if (!digest_equal(compute_hello_mac(options_->secret, nonce_,
+                                               fingerprint_, hello.session),
+                             hello.mac)) {
+      refuse(TransportErrorCode::kAuthFailed, "HELLO authentication failed");
+    } else {
+      session_ = hello.session;
+      HelloAckFrame hello_ack;
+      if (const auto mark = watermarks_->get(session_)) {
+        hello_ack.last_seq = mark->seq;
+        hello_ack.last_offset = mark->offset;
+      }
+      next_seq_ = hello_ack.last_seq + 1;
+      state_ = State::kStream;
+      intake_->sessions.fetch_add(1, std::memory_order_relaxed);
+      send(serialize_hello_ack(hello_ack), now, out);
+    }
+  }
+
+  void on_batch(const Frame& frame, query::SteadyTime now, std::string& out) {
+    if (frame.type != FrameType::kBatch) {
+      reject(TransportErrorCode::kProtocol,
+             "unexpected frame type " +
+                 std::to_string(static_cast<int>(frame.type)),
+             out);
+      return;
+    }
+    BatchFrame batch = parse_batch(frame.payload);
+    const auto durable = watermarks_->get(session_);
+    if (batch.seq == 0) {
+      reject(TransportErrorCode::kBadSequence,
+             "batch sequence numbers are 1-based", out);
+    } else if (durable && batch.seq <= durable->seq) {
+      // Replayed frame from a sender that missed our ACK: dedupe and
+      // re-ACK the durable watermark so it advances.
+      intake_->duplicates.fetch_add(1, std::memory_order_relaxed);
+      watermarks_->note_ack(session_);
+      send(serialize_ack(AckFrame{.seq = durable->seq,
+                                  .end_offset = durable->offset}),
+           now, out);
+    } else if (batch.seq != next_seq_) {
+      reject(TransportErrorCode::kBadSequence,
+             "expected seq " + std::to_string(next_seq_) + ", got " +
+                 std::to_string(batch.seq),
+             out);
+    } else {
+      intake_->push(ReceivedBatch{id_, session_, batch.seq, batch.end_offset,
+                                  std::move(batch.lines)});
+      ++inflight_;
+      ++next_seq_;
+    }
+  }
+
+  /// Sends a typed ERROR frame and ends the session.
+  void reject(TransportErrorCode code, const std::string& message,
+              std::string& out) {
+    out += serialize_error(ErrorFrame{.code = code, .message = message});
+    finish();
+  }
+
+  void send(std::string_view bytes, query::SteadyTime now, std::string& out) {
+    out.append(bytes);
+    last_tx_ = now;
+  }
+
+  void finish() {
+    if (state_ == State::kStream) {
+      intake_->sessions.fetch_sub(1, std::memory_order_relaxed);
+    }
+    state_ = State::kDone;
+  }
+
+  const TransportServerOptions* options_;
+  WatermarkTable* watermarks_;
+  TransportIntake* intake_;
+  std::uint64_t id_;
+  std::array<std::uint8_t, kTransportNonceSize> nonce_;
+  std::uint64_t fingerprint_;
+  State state_ = State::kMagic;
+  std::size_t magic_seen_ = 0;  ///< magic bytes matched so far
+  FrameReader reader_;
+  std::string session_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t inflight_ = 0;  ///< queued batches not yet ACKed
+  bool blocked_ = false;      ///< waiting for quota or queue room
+  query::SteadyTime last_rx_;
+  query::SteadyTime last_tx_;
+};
+
+}  // namespace
+
+std::unique_ptr<query::Session> make_server_session(
+    const TransportServerOptions& options, WatermarkTable& watermarks,
+    TransportIntake& intake, std::uint64_t connection_id,
+    const std::array<std::uint8_t, kTransportNonceSize>& nonce,
+    query::SteadyTime now) {
+  return std::make_unique<ServerSession>(options, watermarks, intake,
+                                         connection_id, nonce, now);
+}
+
 // ---- TransportServer -----------------------------------------------------
 
 TransportServer::TransportServer(const TransportServerOptions& options,
+                                 WatermarkTable& watermarks,
+                                 query::EventLoop& loop)
+    : options_(options),
+      watermarks_(&watermarks),
+      nonces_(std::random_device{}()),
+      loop_(&loop) {
+  listen();
+}
+
+TransportServer::TransportServer(const TransportServerOptions& options,
                                  WatermarkTable& watermarks, fault::Io& io)
-    : options_(options), watermarks_(&watermarks), io_(&io) {
+    : options_(options),
+      watermarks_(&watermarks),
+      nonces_(std::random_device{}()),
+      own_loop_(std::make_unique<query::EventLoop>(io)) {
+  loop_ = own_loop_.get();
+  listen();
+  loop_->start();
+}
+
+void TransportServer::listen() {
   MAPIT_ENSURE(!options_.secret.empty(),
                "MDP1 transport requires a shared secret");
   query::ServerOptions listener;
   listener.port = options_.port;
-  listen_fd_ = query::detail::bind_listener(listener, /*nonblocking=*/false,
-                                            &port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-TransportServer::~TransportServer() {
-  stopping_.store(true);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    for (const auto& [id, conn] : connections_) {
-      conn->dead.store(true);
-      ::shutdown(conn->fd, SHUT_RDWR);
+  port_ = loop_->listen(listener, [this](std::uint64_t id,
+                                         query::SteadyTime now) {
+    // The nonce only needs uniqueness per connection: it keys the HELLO
+    // MAC to this challenge, so a recorded HELLO cannot be replayed.
+    std::array<std::uint8_t, kTransportNonceSize> nonce{};
+    for (std::uint8_t& byte : nonce) {
+      byte = static_cast<std::uint8_t>(nonces_());
     }
-  }
-  space_cv_.notify_all();
-  quota_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, thread] : threads_) threads.push_back(std::move(thread));
-    threads_.clear();
-    for (std::thread& thread : finished_threads_) {
-      threads.push_back(std::move(thread));
-    }
-    finished_threads_.clear();
-  }
-  for (std::thread& thread : threads) thread.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void TransportServer::accept_loop() {
-  while (!stopping_.load()) {
-    // Join handler threads that finished since the last accept, so
-    // reconnect churn cannot accumulate unjoined threads and their stacks.
-    reap_finished_threads();
-    const int fd = io_->accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (stopping_.load()) break;
-      if (errno == EINTR) continue;
-      if (query::detail::transient_accept_error(errno)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds{1});
-        continue;
-      }
-      // A fatal accept error with no re-arm would go deaf; keep polling —
-      // shutdown() from the destructor unblocks us either way.
-      std::this_thread::sleep_for(std::chrono::milliseconds{10});
-      continue;
-    }
-    auto conn = std::make_shared<Connection>();
-    conn->id = next_connection_id_.fetch_add(1, std::memory_order_relaxed);
-    conn->fd = fd;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    connections_.emplace(conn->id, conn);
-    threads_.emplace(conn->id,
-                     std::thread([this, conn] { handle_connection(conn); }));
-  }
-}
-
-void TransportServer::handle_connection(
-    const std::shared_ptr<Connection>& conn) {
-  try {
-    run_connection(conn);
-  } catch (const TransportError& error) {
-    send_error(*conn, TransportErrorCode::kProtocol, error.what());
-  } catch (...) {
-    // Injected I/O faults and the like: isolated to this connection.
-  }
-  {
-    // Unregister first (the destructor only shutdown()s fds still in the
-    // map), then park our own thread handle for accept_loop to join.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(conn->id);
-    const auto it = threads_.find(conn->id);
-    if (it != threads_.end()) {
-      finished_threads_.push_back(std::move(it->second));
-      threads_.erase(it);
-    }
-  }
-  {
-    // Mark dead and close under send_mutex: the ingest loop's ack() checks
-    // `dead` under the same mutex, so it can never write to a closed (and
-    // possibly reused) fd and inject an ACK into another session's stream.
-    const std::lock_guard<std::mutex> lock(conn->send_mutex);
-    conn->dead.store(true);
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
-  quota_cv_.notify_all();
-}
-
-void TransportServer::reap_finished_threads() {
-  std::vector<std::thread> finished;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    finished.swap(finished_threads_);
-  }
-  for (std::thread& thread : finished) thread.join();
-}
-
-bool TransportServer::send_locked(Connection& conn, std::string_view bytes) {
-  const std::lock_guard<std::mutex> lock(conn.send_mutex);
-  if (conn.dead.load()) return false;
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = io_->send(conn.fd, bytes.data() + sent,
-                                bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      conn.dead.store(true);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void TransportServer::send_error(Connection& conn, TransportErrorCode code,
-                                 const std::string& message) {
-  ErrorFrame frame;
-  frame.code = code;
-  frame.message = message;
-  (void)send_locked(conn, serialize_error(frame));
-}
-
-void TransportServer::run_connection(const std::shared_ptr<Connection>& conn) {
-  if (options_.deadline_seconds > 0) {
-    set_socket_timeout(conn->fd, kReadSliceSeconds);
-  }
-  {
-    const int one = 1;
-    ::setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  auto last_rx = Clock::now();
-  auto last_tx = last_rx;
-  FrameReader reader;
-  char buffer[16 * 1024];
-
-  // Reads more bytes into `reader`, enforcing the heartbeat schedule and
-  // the read deadline. False on EOF / dead peer / shutdown.
-  const auto pump = [&]() -> bool {
-    while (!stopping_.load() && !conn->dead.load()) {
-      const ssize_t n = io_->recv(conn->fd, buffer, sizeof(buffer), 0);
-      if (n > 0) {
-        reader.append(std::string_view(buffer, static_cast<std::size_t>(n)));
-        last_rx = Clock::now();
-        return true;
-      }
-      if (n == 0) return false;  // clean EOF
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
-      const auto now = Clock::now();
-      const std::chrono::duration<double> idle = now - last_rx;
-      if (options_.deadline_seconds > 0 &&
-          idle.count() > options_.deadline_seconds) {
-        return false;  // peer presumed dead
-      }
-      const std::chrono::duration<double> quiet = now - last_tx;
-      if (options_.heartbeat_seconds > 0 &&
-          quiet.count() > options_.heartbeat_seconds) {
-        if (!send_locked(*conn, serialize_frame(FrameType::kHeartbeat, "")))
-          return false;
-        last_tx = now;
-      }
-    }
-    return false;
-  };
-
-  // Pulls the next frame, pumping the socket as needed.
-  const auto next_frame = [&](Frame& frame) -> bool {
-    while (true) {
-      if (reader.next(frame)) return true;
-      if (!pump()) return false;
-    }
-  };
-
-  // --- Stream magic: decide MDP1 vs something else in the first 4 bytes.
-  std::string magic;
-  while (magic.size() < sizeof(kTransportMagic)) {
-    const ssize_t n = io_->recv(conn->fd, buffer,
-                                sizeof(kTransportMagic) - magic.size(), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const std::chrono::duration<double> idle = Clock::now() - last_rx;
-      if (options_.deadline_seconds > 0 &&
-          idle.count() > options_.deadline_seconds) {
-        return;
-      }
-      continue;
-    }
-    if (n <= 0) return;
-    magic.append(buffer, static_cast<std::size_t>(n));
-  }
-  if (std::memcmp(magic.data(), kTransportMagic, sizeof(kTransportMagic)) !=
-      0) {
-    // Not an MDP1 client. One-line diagnosis, clean close — plaintext
-    // delta lines reach this port only through `mapit send`.
-    refused_plaintext_.fetch_add(1, std::memory_order_relaxed);
-    (void)send_locked(*conn,
-                      "ERR this port speaks MDP1 (framed transport); use "
-                      "`mapit send` to deliver delta lines\n");
-    return;
-  }
-  last_rx = Clock::now();
-
-  // --- Handshake: CHALLENGE out, HELLO in, HELLO_ACK out.
-  const std::uint64_t fingerprint = combined_fingerprint(options_.meta);
-  ChallengeFrame challenge;
-  challenge.base_fingerprint = fingerprint;
-  {
-    // The nonce only needs uniqueness per connection (it keys the HELLO
-    // MAC to this challenge, preventing replayed HELLOs).
-    std::random_device device;
-    std::mt19937_64 rng(
-        (static_cast<std::uint64_t>(device()) << 32) ^ device() ^
-        (conn->id * 0x9e3779b97f4a7c15ull));
-    for (std::size_t i = 0; i < challenge.nonce.size(); i += 8) {
-      const std::uint64_t word = rng();
-      std::memcpy(challenge.nonce.data() + i, &word,
-                  std::min<std::size_t>(8, challenge.nonce.size() - i));
-    }
-  }
-  if (!send_locked(*conn, serialize_challenge(challenge))) return;
-  last_tx = Clock::now();
-
-  Frame frame;
-  HelloFrame hello;
-  while (true) {
-    if (!next_frame(frame)) return;
-    if (frame.type == FrameType::kHeartbeat) continue;
-    if (frame.type != FrameType::kHello) {
-      handshake_rejects_.fetch_add(1, std::memory_order_relaxed);
-      send_error(*conn, TransportErrorCode::kProtocol,
-                 "expected HELLO after CHALLENGE");
-      return;
-    }
-    hello = parse_hello(frame.payload);
-    break;
-  }
-  if (hello.version != kTransportVersion) {
-    handshake_rejects_.fetch_add(1, std::memory_order_relaxed);
-    send_error(*conn, TransportErrorCode::kProtocol,
-               "unsupported MDP1 version " + std::to_string(hello.version));
-    return;
-  }
-  if (hello.base_fingerprint != fingerprint) {
-    handshake_rejects_.fetch_add(1, std::memory_order_relaxed);
-    send_error(*conn, TransportErrorCode::kBaseMismatch,
-               "sender pins a different base run (fingerprint mismatch)");
-    return;
-  }
-  const auto expected_mac = compute_hello_mac(
-      options_.secret, challenge.nonce, fingerprint, hello.session);
-  if (!digest_equal(expected_mac, hello.mac)) {
-    handshake_rejects_.fetch_add(1, std::memory_order_relaxed);
-    send_error(*conn, TransportErrorCode::kAuthFailed,
-               "HELLO authentication failed");
-    return;
-  }
-  conn->session = hello.session;
-
-  const auto mark = watermarks_->get(hello.session);
-  HelloAckFrame hello_ack;
-  if (mark.has_value()) {
-    hello_ack.last_seq = mark->seq;
-    hello_ack.last_offset = mark->offset;
-  }
-  if (!send_locked(*conn, serialize_hello_ack(hello_ack))) return;
-  last_tx = Clock::now();
-
-  // --- Authenticated stream: BATCH in, ACK out (from the ingest loop).
-  std::uint64_t next_seq = hello_ack.last_seq + 1;
-  while (true) {
-    if (!next_frame(frame)) return;
-    switch (frame.type) {
-      case FrameType::kHeartbeat:
-        continue;
-      case FrameType::kBatch: {
-        BatchFrame batch = parse_batch(frame.payload);
-        if (batch.seq == 0) {
-          send_error(*conn, TransportErrorCode::kBadSequence,
-                     "batch sequence numbers are 1-based");
-          return;
-        }
-        const auto current = watermarks_->get(conn->session);
-        const std::uint64_t durable_seq =
-            current.has_value() ? current->seq : 0;
-        if (batch.seq <= durable_seq) {
-          // Replayed frame from a sender that missed our ACK: dedupe and
-          // re-ACK the durable watermark so it advances.
-          duplicates_.fetch_add(1, std::memory_order_relaxed);
-          watermarks_->note_ack(conn->session);
-          AckFrame ack;
-          ack.seq = current->seq;
-          ack.end_offset = current->offset;
-          if (!send_locked(*conn, serialize_ack(ack))) return;
-          last_tx = Clock::now();
-          continue;
-        }
-        if (batch.seq != next_seq) {
-          send_error(*conn, TransportErrorCode::kBadSequence,
-                     "expected seq " + std::to_string(next_seq) + ", got " +
-                         std::to_string(batch.seq));
-          return;
-        }
-        // Inflight quota: block until the ingest loop ACKs something or
-        // the connection dies — TCP backpressure does the actual shaping.
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          quota_cv_.wait(lock, [&] {
-            return stopping_.load() || conn->dead.load() ||
-                   conn->inflight.load() < options_.max_inflight_batches;
-          });
-          if (stopping_.load() || conn->dead.load()) return;
-        }
-        ReceivedBatch received;
-        received.connection_id = conn->id;
-        received.session = conn->session;
-        received.seq = batch.seq;
-        received.end_offset = batch.end_offset;
-        received.lines = std::move(batch.lines);
-        conn->inflight.fetch_add(1, std::memory_order_relaxed);
-        if (!enqueue(std::move(received))) return;
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        ++next_seq;
-        continue;
-      }
-      default:
-        send_error(*conn, TransportErrorCode::kProtocol,
-                   "unexpected frame type " +
-                       std::to_string(static_cast<int>(frame.type)));
-        return;
-    }
-  }
-}
-
-bool TransportServer::enqueue(ReceivedBatch batch) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_cv_.wait(lock, [&] {
-    return stopping_.load() || queue_.size() < options_.max_queued_batches;
+    return make_server_session(options_, *watermarks_, intake_, id, nonce,
+                               now);
   });
-  if (stopping_.load()) return false;
-  queue_.push_back(std::move(batch));
-  return true;
 }
 
 std::size_t TransportServer::drain(std::vector<ReceivedBatch>& out) {
-  std::deque<ReceivedBatch> batches;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    batches.swap(queue_);
+  std::vector<std::uint64_t> woken;
+  const std::size_t count = intake_.drain(out, woken);
+  for (const std::uint64_t id : woken) {
+    loop_->post([loop = loop_, id] {
+      loop->update(id, [](query::Session& session, std::string& bytes) {
+        // Every id this server names came from its own factory.
+        return static_cast<ServerSession&>(session).resume(
+            std::chrono::steady_clock::now(), bytes);
+      });
+    });
   }
-  if (!batches.empty()) space_cv_.notify_all();
-  const std::size_t count = batches.size();
-  for (ReceivedBatch& batch : batches) out.push_back(std::move(batch));
   return count;
 }
 
 void TransportServer::ack(std::uint64_t connection_id, std::uint64_t seq,
                           std::uint64_t end_offset) {
-  std::shared_ptr<Connection> conn;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = connections_.find(connection_id);
-    if (it == connections_.end()) {
-      return;  // sender re-syncs via HELLO_ACK on reconnect
-    }
-    conn = it->second;
-    // Decrement under mutex_: the reader's quota wait evaluates its
-    // predicate under the same mutex, so the notify below cannot land in
-    // the window between its predicate check and its block (lost wakeup).
-    if (conn->inflight.load() > 0) {
-      conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  quota_cv_.notify_all();
-  AckFrame frame;
-  frame.seq = seq;
-  frame.end_offset = end_offset;
-  (void)send_locked(*conn, serialize_ack(frame));
-}
-
-std::size_t TransportServer::sessions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [id, conn] : connections_) {
-    if (!conn->session.empty() && !conn->dead.load()) ++count;
-  }
-  return count;
+  loop_->post([loop = loop_, connection_id, seq, end_offset] {
+    loop->update(connection_id, [&](query::Session& session,
+                                    std::string& bytes) {
+      return static_cast<ServerSession&>(session).ack(
+          seq, end_offset, std::chrono::steady_clock::now(), bytes);
+    });
+  });
 }
 
 }  // namespace mapit::ingest

@@ -41,27 +41,28 @@
 // deadline; a peer that goes silent is closed (server) or reconnected to
 // (client). Per-connection inflight quotas bound unACKed batches, so a
 // fast sender is throttled by TCP backpressure.
+// The receiving end of a connection is a socketless session on the shared
+// query::EventLoop (event_loop.h).
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/journal.h"
 #include "fault/io.h"
 #include "net/error.h"
+#include "query/event_loop.h"
 
 namespace mapit::ingest {
 
@@ -250,10 +251,8 @@ struct TransportServerOptions {
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port
   std::string secret;      ///< shared HMAC secret (required)
   core::CheckpointMeta meta;  ///< base run the handshake pins
-  /// Global bound on accepted-but-not-yet-journaled batches; past it the
-  /// reader threads block (TCP backpressure).
-  std::size_t max_queued_batches = 256;
-  /// Per-connection bound on unACKed batches (the inflight quota).
+  /// Per-connection bound on unACKed batches (the inflight quota); a
+  /// session at its quota stops reading (TCP backpressure).
   std::size_t max_inflight_batches = 8;
   /// Idle interval before a HEARTBEAT is sent; 0 disables (tests).
   double heartbeat_seconds = 2.0;
@@ -270,18 +269,58 @@ struct ReceivedBatch {
   std::vector<std::string> lines;
 };
 
-/// The MDP1 listener: accept thread plus one reader thread per connection
-/// (bounded queue, clean shutdown).
-/// The ingest loop drains batches, journals + fsyncs them, then calls
-/// ack() — the server itself never touches the journal.
+/// What MDP1 sessions (loop thread) share with the ingest loop: the
+/// bounded batch queue and the counters.
+class TransportIntake {
+ public:
+  /// True while the queue has room. Otherwise `connection_id` is noted as
+  /// waiting, and the drain() that makes room hands it back.
+  [[nodiscard]] bool has_room(std::uint64_t connection_id);
+  void push(ReceivedBatch batch);
+  /// Moves every queued batch into `out`; `woken` becomes the connections
+  /// that waited for room. Returns the number of batches moved.
+  std::size_t drain(std::vector<ReceivedBatch>& out,
+                    std::vector<std::uint64_t>& woken);
+
+  std::atomic<std::uint64_t> batches{0};     ///< accepted onto the queue
+  std::atomic<std::uint64_t> duplicates{0};  ///< re-ACKed, dropped
+  std::atomic<std::uint64_t> handshake_rejects{0};
+  std::atomic<std::uint64_t> refused_plaintext{0};
+  std::atomic<std::size_t> sessions{0};  ///< authenticated, still open
+
+ private:
+  std::mutex mutex_;
+  std::deque<ReceivedBatch> queue_;
+  std::vector<std::uint64_t> waiting_;
+};
+
+/// The receiving end of one MDP1 connection, socketless (the fuzz harness
+/// drives it directly): magic sniff (else a one-line plaintext refusal),
+/// CHALLENGE keyed by `nonce`, HELLO check, then BATCH dedupe against
+/// `watermarks` and sequence checks, queuing onto `intake`. At its
+/// inflight quota or a full queue it declines to read until the server
+/// hands it an ACK or queue room. Malformed bytes end it with a kProtocol
+/// ERROR; feed() never throws for them. References must outlive it.
+[[nodiscard]] std::unique_ptr<query::Session> make_server_session(
+    const TransportServerOptions& options, WatermarkTable& watermarks,
+    TransportIntake& intake, std::uint64_t connection_id,
+    const std::array<std::uint8_t, kTransportNonceSize>& nonce,
+    query::SteadyTime now);
+
+/// The MDP1 listener: a make_server_session factory on a query::EventLoop
+/// plus the batch queue. The ingest loop drains batches, journals + fsyncs
+/// them, then calls ack(), which hands the ACK to the loop thread: the
+/// server never touches the journal, the ingest loop never a socket.
 class TransportServer {
  public:
+  /// Serves on `loop`. Stop the loop before destroying the server: its
+  /// sessions point into it.
+  TransportServer(const TransportServerOptions& options,
+                  WatermarkTable& watermarks, query::EventLoop& loop);
+  /// Serves on a loop of its own, running on its own thread.
   TransportServer(const TransportServerOptions& options,
                   WatermarkTable& watermarks,
                   fault::Io& io = fault::system_io());
-  TransportServer(const TransportServer&) = delete;
-  TransportServer& operator=(const TransportServer&) = delete;
-  ~TransportServer();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
@@ -295,70 +334,39 @@ class TransportServer {
            std::uint64_t end_offset);
 
   /// Authenticated connections right now (HEALTH `sessions=`).
-  [[nodiscard]] std::size_t sessions() const;
+  [[nodiscard]] std::size_t sessions() const {
+    return intake_.sessions.load(std::memory_order_relaxed);
+  }
 
   /// Batches accepted onto the queue.
   [[nodiscard]] std::uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
+    return intake_.batches.load(std::memory_order_relaxed);
   }
   /// BATCH frames at-or-below the session watermark, re-ACKed and dropped.
   [[nodiscard]] std::uint64_t duplicates() const {
-    return duplicates_.load(std::memory_order_relaxed);
+    return intake_.duplicates.load(std::memory_order_relaxed);
   }
   /// Connections rejected at HELLO (bad HMAC / fingerprint / protocol).
   [[nodiscard]] std::uint64_t handshake_rejects() const {
-    return handshake_rejects_.load(std::memory_order_relaxed);
+    return intake_.handshake_rejects.load(std::memory_order_relaxed);
   }
   /// Connections that opened with non-MDP1 bytes and were refused.
   [[nodiscard]] std::uint64_t refused_plaintext() const {
-    return refused_plaintext_.load(std::memory_order_relaxed);
+    return intake_.refused_plaintext.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Connection {
-    std::uint64_t id = 0;
-    int fd = -1;
-    std::string session;
-    std::mutex send_mutex;  ///< ACKs (ingest loop) vs heartbeats (reader)
-    std::atomic<std::size_t> inflight{0};
-    std::atomic<bool> dead{false};
-  };
-
-  void accept_loop();
-  void handle_connection(const std::shared_ptr<Connection>& conn);
-  /// Joins handler threads parked on finished_threads_.
-  void reap_finished_threads();
-  void run_connection(const std::shared_ptr<Connection>& conn);
-  /// Sends bytes under the connection's send mutex; marks it dead on error.
-  bool send_locked(Connection& conn, std::string_view bytes);
-  void send_error(Connection& conn, TransportErrorCode code,
-                  const std::string& message);
-  /// Blocks while the global queue is full; false once stopping.
-  bool enqueue(ReceivedBatch batch);
+  void listen();
 
   TransportServerOptions options_;
   WatermarkTable* watermarks_;
-  fault::Io* io_;
-  int listen_fd_ = -1;
+  TransportIntake intake_;
+  std::mt19937_64 nonces_;  ///< loop thread only
   std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> next_connection_id_{1};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> handshake_rejects_{0};
-  std::atomic<std::uint64_t> refused_plaintext_{0};
-
-  mutable std::mutex mutex_;  ///< guards queue_, connections_, thread lists
-  std::condition_variable space_cv_;  ///< signalled when the queue drains
-  std::condition_variable quota_cv_;  ///< signalled when an ACK frees quota
-  std::deque<ReceivedBatch> queue_;
-  std::map<std::uint64_t, std::shared_ptr<Connection>> connections_;
-  /// Live reader threads keyed by connection id. A finished handler moves
-  /// its own handle to finished_threads_; accept_loop joins them, so
-  /// reconnect churn never accumulates unjoined threads.
-  std::map<std::uint64_t, std::thread> threads_;
-  std::vector<std::thread> finished_threads_;
-  std::thread accept_thread_;
+  query::EventLoop* loop_ = nullptr;
+  /// Standalone mode only. Declared last: destroyed (stopped) first, so no
+  /// session outlives the state above.
+  std::unique_ptr<query::EventLoop> own_loop_;
 };
 
 }  // namespace mapit::ingest

@@ -1,63 +1,31 @@
-// Epoll event-loop TCP server over a QueryEngine: the query server behind
-// `mapit serve`.
+// The query server behind `mapit serve`: one listener on a
+// query::EventLoop (event_loop.h), which owns the sockets, bounded write
+// buffers, backpressure, transient-accept backoff and the bounded drain of
+// stop(), so a stalled peer costs bounded memory and nothing else. N
+// independent processes can serve the same immutable mmap'd snapshot
+// behind SO_REUSEPORT (`ServerOptions::reuse_port`) for per-core
+// scale-out.
 //
-// One event loop owns every connection, sockets are non-blocking, and
-// nothing ever blocks in send or recv, so a stalled peer can cost memory
-// bounds it cannot exceed and nothing else. N independent processes can
-// serve the same immutable mmap'd snapshot behind SO_REUSEPORT
-// (`ServerOptions::reuse_port`) for per-core scale-out.
-//
-// Protocols. Both run on the same port, implemented by the socketless
-// query::ProtocolSession (protocol.h) — one session per connection, so the
-// exact framing code that answers TCP clients is also driven directly by
-// unit tests and the fuzz harnesses:
-//   * Line protocol — one '\n'-terminated query per line, exactly one
-//     answer line each, CRLF tolerated, HEALTH answered by the server
-//     (server.h). tests/query/async_server_test.cpp proves the answer
-//     stream matches QueryEngine::answer byte for byte.
-//   * Binary protocol — for bulk clients. A connection whose first four
-//     bytes are the magic "MQB1" switches to length-prefixed framing:
-//     requests and responses are `uint32 little-endian payload length`
-//     followed by the payload; a request payload is exactly one protocol
-//     line (no newline), its response payload exactly the answer line.
-//     A frame longer than `max_line_bytes` is answered with an ERR frame
-//     and its payload is discarded (the connection survives, mirroring the
-//     line protocol's oversized-line rule). The magic contains no '\n' and
-//     no query verb starts with 'M', so sniffing is unambiguous; a client
-//     that sends fewer than 4 bytes that prefix the magic simply waits.
-//
-// Event-loop state machine (DESIGN.md §12): each connection is
-//   reading ──(write buffer > max_write_buffer)──▶ paused
-//   paused ──(write buffer < half)──▶ reading
-//   reading/paused ──(EOF from peer)──▶ flushing ──(drained)──▶ closed
-// Input is parsed as it arrives; every complete request appends its answer
-// to the connection's write buffer, which is flushed opportunistically and
-// re-armed on EPOLLOUT when the socket would block. Write backpressure
-// pauses *reading* (EPOLLIN off), so a slow reader throttles itself
-// instead of growing server state.
+// Each connection's session is the socketless query::ProtocolSession
+// (protocol.h: the line protocol and the "MQB1" binary framing on the same
+// port, also driven directly by unit tests and the fuzz harnesses) plus
+// what the server adds around it: the HEALTH answer, the idle timeout, the
+// hot-swap pin and load shedding. Each readiness event is one recv and one
+// feed, so in hub mode one snapshot generation answers each read batch.
 //
 // Overload and failure behavior is the server.h contract (refusal line,
 // ERR-and-discard for oversized lines, idle timeout, transient-accept
-// backoff — implemented by disarming the listener until the backoff
-// deadline instead of sleeping).
-// stop() drains gracefully but boundedly: pending answers are flushed
-// until `drain_timeout`, then stragglers are closed — a stalled reader can
-// never block shutdown. All socket/epoll syscalls go through fault::Io, so
-// the chaos matrix (tests/query/server_fault_test.cpp) can inject faults
-// at any of them.
+// backoff, "ERR overloaded retry" past max_inflight_bytes). All socket and
+// epoll syscalls go through fault::Io, so the chaos matrix
+// (tests/query/server_fault_test.cpp) can inject faults at any of them.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "fault/io.h"
+#include "query/event_loop.h"
 #include "query/protocol.h"
 #include "query/query_engine.h"
 #include "query/server.h"
@@ -105,12 +73,12 @@ class AsyncServer {
 
   /// Connections refused with the capacity line so far.
   [[nodiscard]] std::uint64_t refused_connections() const {
-    return refused_.load(std::memory_order_relaxed);
+    return loop_.refused();
   }
 
   /// accept4 failures absorbed by backoff so far.
   [[nodiscard]] std::uint64_t accept_retries() const {
-    return accept_retries_.load(std::memory_order_relaxed);
+    return loop_.accept_retries();
   }
 
   /// Connections closed with the overload answer (max_inflight_bytes).
@@ -120,97 +88,27 @@ class AsyncServer {
 
   /// Live connections right now (the HEALTH line reports this too).
   [[nodiscard]] std::size_t active_connections() const {
-    return active_.load(std::memory_order_relaxed);
+    return loop_.connections();
   }
 
  private:
-  struct Connection {
-    explicit Connection(ProtocolSession session_in)
-        : session(std::move(session_in)) {}
+  class QuerySession;
 
-    int fd = -1;
-    /// Request framing + answering (mode sniff, line/binary protocols).
-    ProtocolSession session;
-    std::string out;           ///< answer bytes not yet written
-    std::size_t out_off = 0;   ///< bytes of `out` already sent
-    bool want_close = false;   ///< peer EOF: close once `out` is flushed
-    bool paused = false;       ///< EPOLLIN off (write backpressure)
-    std::uint32_t armed = 0;   ///< epoll events currently registered
-    std::chrono::steady_clock::time_point last_activity;
+  AsyncServer(const QueryEngine* engine, SnapshotHub* hub,
+              const ServerOptions& options);
+  /// HEALTH answer, reporting `pinned` (the generation answering the rest
+  /// of the batch in hub mode) or the fixed engine. Loop thread only.
+  [[nodiscard]] std::string health_line(const LoadedSnapshot* pinned) const;
 
-    [[nodiscard]] std::size_t pending_out() const {
-      return out.size() - out_off;
-    }
-  };
-
-  /// Listener + epoll + wake-pipe setup shared by both constructors.
-  void init_sockets();
-  void event_loop();
-  /// HEALTH answer for the batch being fed right now (loop thread only).
-  [[nodiscard]] std::string health_line() const;
-  /// Accepts until the listener would block; transient failures disarm the
-  /// listener and set `accept_rearm_at_` instead of sleeping.
-  void accept_ready(std::chrono::steady_clock::time_point now);
-  void handle_readable(Connection& connection,
-                       std::chrono::steady_clock::time_point now);
-  /// Answers "ERR overloaded retry" in the connection's protocol mode and
-  /// schedules the close (load shedding past max_inflight_bytes).
-  void shed_connection(Connection& connection);
-  /// Sends as much of `out` as the socket takes. False = connection dead.
-  [[nodiscard]] bool flush(Connection& connection);
-  /// Recomputes and applies the epoll event mask for the connection.
-  void rearm(Connection& connection);
-  void close_connection(Connection& connection);
-  /// Closes idle connections; returns the next idle deadline if any.
-  void scan_idle(std::chrono::steady_clock::time_point now);
-  /// Enters drain mode: listener closed, no more reads, bounded flush.
-  void begin_drain(std::chrono::steady_clock::time_point now);
-  /// epoll_wait timeout until the nearest deadline (-1 = block).
-  [[nodiscard]] int wait_timeout_ms(
-      std::chrono::steady_clock::time_point now) const;
-  void close_listener();
-
-  const QueryEngine* engine_ = nullptr;  ///< fixed-engine mode; else null
-  SnapshotHub* hub_ = nullptr;           ///< hot-swap mode; else null
+  const QueryEngine* engine_;  ///< fixed-engine mode; else null
+  SnapshotHub* hub_;           ///< hot-swap mode; else null
   ServerOptions options_;
-  fault::Io* io_ = nullptr;
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  ///< self-pipe: stop() wakes epoll_wait
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> accept_retries_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::size_t> active_{0};
-  std::thread loop_thread_;
-
-  /// When the server came up (HEALTH uptime). Set once in the constructor.
-  std::chrono::steady_clock::time_point started_;
-
-  // ---- event-loop-thread state (no locking: only the loop touches it) ----
-  /// fd -> connection. Ordered map: deterministic idle-scan order.
-  std::map<int, std::unique_ptr<Connection>> connections_;
-  /// The generation pinned by the feed in progress (hub mode): set for the
-  /// duration of handle_readable so the HEALTH callback reports exactly
-  /// the generation answering the rest of the batch. Null between feeds.
-  const LoadedSnapshot* feeding_ = nullptr;
-  bool listener_registered_ = false;
-  /// Σ pending_out() over all connections — the quantity the in-flight
-  /// budget (ServerOptions::max_inflight_bytes) sheds against. Maintained
-  /// incrementally at every point `out`/`out_off` change.
-  std::size_t total_pending_ = 0;
-  std::chrono::milliseconds accept_backoff_{0};
-  std::chrono::steady_clock::time_point accept_rearm_at_{};
-  bool draining_ = false;
-  std::chrono::steady_clock::time_point drain_deadline_{};
-
-  /// Guards loop_active_; loop_cv_ signals loop exit so stop() can wait
-  /// out a serve_forever() caller it cannot join.
-  std::mutex loop_mutex_;
-  std::condition_variable loop_cv_;
-  bool loop_active_ = false;
-  std::mutex stop_mutex_;  ///< serializes stop() (explicit stop + destructor)
+  std::chrono::steady_clock::time_point started_;  ///< HEALTH uptime
+  std::uint16_t port_ = 0;
+  /// Declared last: destroyed first, so no session outlives the state
+  /// above.
+  EventLoop loop_;
 };
 
 }  // namespace mapit::query

@@ -1,71 +1,9 @@
 #include "query/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "net/error.h"
-
 namespace mapit::query {
-
-namespace detail {
-
-/// Out of fds (EMFILE/ENFILE), kernel memory pressure (ENOBUFS/ENOMEM), or
-/// a connection that died in the backlog (ECONNABORTED, EPROTO). A serve
-/// loop that exits on any of these turns one load spike into an outage.
-bool transient_accept_error(int err) {
-  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM ||
-         err == ECONNABORTED || err == EPROTO || err == EAGAIN ||
-         err == EWOULDBLOCK;
-}
-
-int bind_listener(const ServerOptions& options, bool nonblocking,
-                  std::uint16_t* port_out) {
-  const int type =
-      SOCK_STREAM | SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0);
-  const int fd = ::socket(AF_INET, type, 0);
-  if (fd < 0) {
-    throw Error(std::string("serve: socket: ") + std::strerror(errno));
-  }
-  const auto fail = [fd](const std::string& what) -> int {
-    const int err = errno;
-    ::close(fd);
-    throw Error("serve: " + what + ": " + std::strerror(err));
-  };
-  const int one = 1;
-  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0) {
-    return fail("setsockopt(SO_REUSEADDR)");
-  }
-  if (options.reuse_port &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    return fail("setsockopt(SO_REUSEPORT)");
-  }
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return fail("cannot bind 127.0.0.1:" + std::to_string(options.port));
-  }
-  socklen_t addr_len = sizeof(addr);
-  const int backlog = options.backlog > 0 ? options.backlog : SOMAXCONN;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0 ||
-      ::listen(fd, backlog) != 0) {
-    return fail("listen");
-  }
-  *port_out = ntohs(addr.sin_port);
-  return fd;
-}
-
-}  // namespace detail
 
 std::string format_health(const QueryEngine& engine, std::uint64_t generation,
                           std::uint64_t swaps,
@@ -91,16 +29,18 @@ std::string format_health(const QueryEngine& engine, std::uint64_t generation,
   out += " swaps=" + std::to_string(swaps);
   out += " shed=" + std::to_string(shed);
   // "never swapped" (none) and "swap failing" (the message) must be
-  // distinguishable to the supervisor's probe. One token, key=value safe.
-  out += " last_swap_error=";
-  if (last_swap_error.empty()) {
-    out += "none";
-  } else {
-    for (const char c : last_swap_error) {
-      out += (c == ' ' || c == '\n' || c == '\r' || c == '\t') ? '_' : c;
-    }
-  }
+  // distinguishable to the supervisor's probe.
+  out += " last_swap_error=" + health_token(last_swap_error);
   return out;
+}
+
+std::string health_token(std::string_view value) {
+  if (value.empty()) return "none";
+  std::string token(value);
+  for (char& c : token) {
+    if (c == ' ' || c == '\n' || c == '\r' || c == '\t') c = '_';
+  }
+  return token;
 }
 
 }  // namespace mapit::query

@@ -1,7 +1,8 @@
-// Pieces of the query server (query::AsyncServer, async_server.h) that
-// other socket code reuses: the ServerOptions knobs, the loopback listener
-// helper, the transient-accept-error test, the two refusal lines, and the
-// HEALTH answer format.
+// Pieces of the query server (query::AsyncServer, async_server.h) that the
+// event-loop core (event_loop.h) and the ingest listeners reuse: the
+// ServerOptions knobs every listener is configured with, the two refusal
+// lines, the HEALTH answer format, and the token escaping both HEALTH
+// lines share.
 //
 // Protocol: clients send QueryEngine protocol lines ('\n'-terminated, CRLF
 // tolerated); the server answers each non-empty line with exactly one
@@ -31,14 +32,15 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "fault/io.h"
 #include "query/query_engine.h"
 
 namespace mapit::query {
 
-/// AsyncServer options (async_server.h); the ingest listeners pass one to
-/// detail::bind_listener for their port.
+/// Listener options for EventLoop::listen (event_loop.h): AsyncServer takes
+/// them whole, the ingest listeners set their port.
 struct ServerOptions {
   /// 127.0.0.1 port to bind (0 picks an ephemeral port, see port()).
   std::uint16_t port = 0;
@@ -79,17 +81,6 @@ struct ServerOptions {
 
 namespace detail {
 
-/// Creates, binds, and starts listening on the 127.0.0.1:`options.port`
-/// listener socket (SO_REUSEADDR, optional SO_REUSEPORT, `options.backlog`
-/// or SOMAXCONN). Returns the fd and
-/// writes the bound port; throws mapit::Error on any failure.
-[[nodiscard]] int bind_listener(const ServerOptions& options, bool nonblocking,
-                                std::uint16_t* port_out);
-
-/// accept4 errnos that mean "right now", not "never again" (shared by
-/// every accept path: the query server and the ingest listeners).
-[[nodiscard]] bool transient_accept_error(int err);
-
 /// The refusal line clients past `max_connections` receive.
 inline constexpr char kCapacityRefusal[] =
     "ERR server at connection capacity (try again later)\n";
@@ -99,6 +90,11 @@ inline constexpr char kCapacityRefusal[] =
 inline constexpr char kOverloadRefusal[] = "ERR overloaded retry\n";
 
 }  // namespace detail
+
+/// One key=value-safe HEALTH field value: "none" when empty, otherwise
+/// `value` with every space, tab and line break turned into '_'. Shared by
+/// the query and the ingest HEALTH lines.
+[[nodiscard]] std::string health_token(std::string_view value);
 
 /// The HEALTH probe answer (no trailing newline). `generation` and `swaps`
 /// describe the live snapshot hot-swap state (generation 1 / 0 swaps for a

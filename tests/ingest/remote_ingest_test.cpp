@@ -22,6 +22,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -785,6 +786,69 @@ TEST_F(RemoteIngestTest, UnreachableReceiverExhaustsRetries) {
   opts.reconnect_base_seconds = 0.01;
   EXPECT_THROW((void)ingest::run_sender(opts, never_stop_),
                ingest::TransportRetriesExhausted);
+}
+
+/// Live threads of this process: the entries of /proc/self/task.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// The receiver serves every socket from one loop thread: eight
+// authenticated MDP1 sessions and eight silent HEALTH peers cost no thread
+// of their own.
+TEST_F(RemoteIngestTest, ConnectionsAddNoThreads) {
+  const int port = pick_port();
+  const int health_port = pick_port();
+  ASSERT_GT(port, 0);
+  ASSERT_GT(health_port, 0);
+  ingest::IngestOptions opts = listen_options(port);
+  opts.health_port = health_port;
+  IngestRun run;
+  run.start(opts);
+
+  // Both listeners up and the startup publish done: the idle count.
+  std::string health;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!has_token(health, "publishes=1") &&
+         std::chrono::steady_clock::now() < deadline) {
+    health = query_health(health_port);
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_TRUE(has_token(health, "publishes=1")) << health;
+  ASSERT_TRUE(RawClient(port).connected());
+  const std::size_t idle = thread_count();
+
+  std::vector<std::unique_ptr<RawClient>> senders;
+  for (int i = 0; i < 8; ++i) {
+    senders.push_back(std::make_unique<RawClient>(port));
+    ASSERT_TRUE(senders.back()->connected());
+    ASSERT_TRUE(senders.back()
+                    ->handshake(kSecret, "mon-" + std::to_string(i))
+                    .has_value());
+  }
+  std::vector<int> silent;
+  for (int i = 0; i < 8; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    struct ::sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(health_port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<struct ::sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    silent.push_back(fd);
+  }
+  const std::size_t busy = thread_count();
+  for (const int fd : silent) ::close(fd);
+  senders.clear();
+  (void)run.finish();
+  EXPECT_EQ(busy, idle);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // watermark table's never-regress contract, and a live TransportServer
 // driven by a hand-rolled client through every handshake outcome —
 // success, wrong HMAC, wrong base fingerprint, plaintext refusal,
-// duplicate batches, and sequence gaps.
+// duplicate batches, and sequence gaps — and through its liveness and
+// flow-control rules: heartbeats, the read deadline, the inflight quota.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -491,6 +492,82 @@ TEST_F(TransportServerTest, BatchSequenceZeroRejected) {
   ASSERT_EQ(error->type, FrameType::kError);
   EXPECT_EQ(ingest::parse_error(error->payload).code,
             TransportErrorCode::kBadSequence);
+}
+
+// Liveness: a server with nothing to say sends a HEARTBEAT once
+// heartbeat_seconds pass, so the sender's read deadline sees a live peer.
+TEST_F(TransportServerTest, HeartbeatSentAfterIdleInterval) {
+  options_.heartbeat_seconds = 0.2;
+  options_.deadline_seconds = 5.0;  // the production pairing: both on
+  ingest::WatermarkTable watermarks;
+  ingest::TransportServer server(options_, watermarks);
+  TestClient client(server.port());
+  (void)client.handshake("open sesame", "mon-1");
+  const auto idle_from = std::chrono::steady_clock::now();
+  const auto frame = client.read_frame();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, FrameType::kHeartbeat);
+  EXPECT_GE(std::chrono::steady_clock::now() - idle_from, 100ms);
+}
+
+// A peer that stops talking is presumed dead at deadline_seconds: the
+// server closes the connection and the session stops counting.
+TEST_F(TransportServerTest, SilentPeerClosedAtReadDeadline) {
+  options_.deadline_seconds = 0.3;
+  ingest::WatermarkTable watermarks;
+  ingest::TransportServer server(options_, watermarks);
+  TestClient client(server.port());
+  (void)client.handshake("open sesame", "mon-1");
+  EXPECT_EQ(server.sessions(), 1u);
+  const auto silent_from = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.read_frame().has_value());  // EOF, not a frame
+  const auto waited = std::chrono::steady_clock::now() - silent_from;
+  EXPECT_GE(waited, 200ms);
+  EXPECT_LT(waited, 4s) << "closed by the read budget, not the server";
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (server.sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(2ms);
+  }
+  EXPECT_EQ(server.sessions(), 0u);
+}
+
+// The inflight quota: with two batches unACKed the third stays on the
+// wire (TCP backpressure) until an ACK frees a slot.
+TEST_F(TransportServerTest, InflightQuotaHoldsBatchesUntilAnAckFreesASlot) {
+  options_.max_inflight_batches = 2;
+  ingest::WatermarkTable watermarks;
+  ingest::TransportServer server(options_, watermarks);
+  TestClient client(server.port());
+  (void)client.handshake("open sesame", "mon-1");
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    ingest::BatchFrame batch;
+    batch.seq = seq;
+    batch.end_offset = seq * 10;
+    batch.lines = {"line " + std::to_string(seq)};
+    client.send_raw(ingest::serialize_batch(batch));
+  }
+  std::vector<ingest::ReceivedBatch> received;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (received.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    server.drain(received);
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_EQ(received.size(), 2u);
+  std::this_thread::sleep_for(300ms);
+  server.drain(received);
+  ASSERT_EQ(received.size(), 2u) << "a third batch got past the quota";
+
+  watermarks.set("mon-1", 1, 10);
+  server.ack(received[0].connection_id, 1, 10);
+  const auto ack = client.read_frame();
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->type, FrameType::kAck);
+  EXPECT_EQ(ingest::parse_ack(ack->payload).seq, 1u);
+  const auto third = drain_one(server);
+  ASSERT_EQ(third.size(), 1u);
+  EXPECT_EQ(third[0].seq, 3u);
+  EXPECT_EQ(third[0].lines, std::vector<std::string>{"line 3"});
 }
 
 }  // namespace
