@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
-#include <unordered_set>
 
-#include "net/special_purpose.h"
 #include "parallel/thread_pool.h"
 
 namespace mapit::graph {
@@ -26,53 +24,45 @@ std::uint32_t low_of(std::uint64_t edge) {
 
 }  // namespace
 
+InterfaceGraph::InterfaceGraph(const GraphInput& input, unsigned threads)
+    : other_sides_(input.all_addresses) {
+  build(input.edges, threads);
+}
+
 InterfaceGraph::InterfaceGraph(const trace::TraceCorpus& sanitized,
                                std::span<const net::Ipv4Address> all_addresses,
                                unsigned threads)
-    : other_sides_(all_addresses) {
-  build(edges_of(sanitized), threads);
+    : InterfaceGraph(sanitized_input(sanitized, all_addresses), threads) {}
+
+void InterfaceGraph::fold(const GraphInput& delta, unsigned threads) {
+  // The union of the base and delta edge sets is exactly the edge set a
+  // cold build over base+delta gathers, and build() is the cold path, so
+  // every HalfId (phantom order included) matches the cold build.
+  const std::vector<std::uint64_t> base = stored_edges();
+  std::vector<std::uint64_t> edges;
+  edges.reserve(base.size() + delta.edges.size());
+  std::set_union(base.begin(), base.end(), delta.edges.begin(),
+                 delta.edges.end(), std::back_inserter(edges));
+  const std::vector<net::Ipv4Address>& known = other_sides_.addresses();
+  std::vector<net::Ipv4Address> population;
+  population.reserve(known.size() + delta.all_addresses.size());
+  std::set_union(known.begin(), known.end(), delta.all_addresses.begin(),
+                 delta.all_addresses.end(), std::back_inserter(population));
+  if (edges.size() == base.size() && population.size() == known.size()) {
+    return;  // nothing new: the cold build over base+delta is this graph
+  }
+  // The §4.2 other-side heuristic is population-sensitive: a delta address
+  // can flip an *existing* record's /30-vs-/31 decision by witnessing the
+  // other half of its prefix. Rebuild the map over the merged population
+  // before build() recomputes every other side.
+  other_sides_ = OtherSideMap(population);
+  build(edges, threads);
 }
 
 void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
                           std::span<const net::Ipv4Address> all_addresses,
                           unsigned threads) {
-  // The §4.2 other-side heuristic is population-sensitive: a delta address
-  // can flip an *existing* record's /30-vs-/31 decision by witnessing the
-  // other half of its prefix. Rebuild the map over the merged population
-  // before build() recomputes every other side.
-  other_sides_ = OtherSideMap(all_addresses);
-  // The union of the base and delta edge sets is exactly the edge set a
-  // cold build over base+delta gathers, and build() is the cold path, so
-  // every HalfId (phantom order included) matches the cold build.
-  const std::vector<std::uint64_t> base = stored_edges();
-  const std::vector<std::uint64_t> delta = edges_of(sanitized_delta);
-  std::vector<std::uint64_t> merged;
-  merged.reserve(base.size() + delta.size());
-  std::set_union(base.begin(), base.end(), delta.begin(), delta.end(),
-                 std::back_inserter(merged));
-  build(merged, threads);
-}
-
-std::vector<std::uint64_t> InterfaceGraph::edges_of(
-    const trace::TraceCorpus& sanitized) {
-  std::unordered_set<std::uint64_t> unique;
-  for (const trace::TraceRow trace : sanitized.traces()) {
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const trace::TraceHop& a = trace.hops[i];
-      const trace::TraceHop& b = trace.hops[i + 1];
-      if (!a.responsive || !b.responsive) continue;   // null hops break adjacency
-      if (b.probe_ttl != a.probe_ttl + 1) continue;   // must be one hop apart
-      if (a.address == b.address) continue;           // never own neighbour
-      if (net::is_special_purpose(a.address) ||
-          net::is_special_purpose(b.address)) {
-        continue;  // private/shared addresses excluded from Ns (§4.3)
-      }
-      unique.insert(pack(a.address.value(), b.address.value()));
-    }
-  }
-  std::vector<std::uint64_t> edges(unique.begin(), unique.end());
-  std::sort(edges.begin(), edges.end());
-  return edges;
+  fold(sanitized_input(sanitized_delta, all_addresses), threads);
 }
 
 std::vector<std::uint64_t> InterfaceGraph::stored_edges() const {

@@ -9,7 +9,8 @@
 //
 // The sets live in one place: dense half-id spans (an offset table plus a
 // flat id array) built from the sorted, unique list of forward edges
-// (a, b). Address lookup is a binary search over the sorted addresses.
+// (a, b) that a GraphDigest gathers (graph/graph_input.h). Address lookup
+// is a binary search over the sorted addresses.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/graph_input.h"
 #include "graph/halves.h"
 #include "graph/other_side.h"
 #include "net/ipv4.h"
@@ -57,30 +59,38 @@ struct GraphStats {
 
 class InterfaceGraph {
  public:
-  /// Builds the graph from sanitized traces. `all_addresses` must be the
-  /// address population of the *unsanitized* corpus (the §4.2 heuristic
-  /// deliberately uses discarded traces too); pass the sanitized corpus's
-  /// own addresses when the original corpus is unavailable.
+  /// Builds the graph from a finished digest: its edges, and its address
+  /// population for the other-side map.
   ///
   /// `threads` workers fill the neighbour-id spans and other-side ids over
   /// disjoint index ranges (0 = one per hardware thread, 1 = fully
   /// sequential). Every write position comes from the offset table, so the
   /// layout is byte-identical for every thread count.
+  explicit InterfaceGraph(const GraphInput& input, unsigned threads = 1);
+
+  /// Builds the graph from sanitized traces. `all_addresses` must be the
+  /// address population of the *unsanitized* corpus (the §4.2 heuristic
+  /// deliberately uses discarded traces too); pass the sanitized corpus's
+  /// own addresses when the original corpus is unavailable.
   InterfaceGraph(const trace::TraceCorpus& sanitized,
                  std::span<const net::Ipv4Address> all_addresses,
                  unsigned threads = 1);
 
-  /// Incrementally folds a batch of sanitized delta traces into the graph.
-  /// `all_addresses` must be the *merged* unsanitized address population
-  /// (base + every delta so far) — the §4.2 other-side heuristic is
-  /// rebuilt over it, because new witnesses can flip existing records'
-  /// /30-vs-/31 decisions.
+  /// Incrementally folds a delta digest into the graph: its edges join the
+  /// edge set and its addresses the population. The §4.2 other-side map is
+  /// rebuilt over the merged population, because new witnesses can flip
+  /// existing records' /30-vs-/31 decisions. A delta that adds no edge and
+  /// no address changes nothing, and returns without a rebuild.
   ///
   /// Postcondition (pinned by the graph fold test and the ingest
   /// equivalence tests): the folded graph is indistinguishable — records,
   /// neighbour spans, other sides, phantom order, every HalfId — from a
   /// cold-built graph over the concatenated corpus, for any fold batching
   /// and any thread count.
+  void fold(const GraphInput& delta, unsigned threads = 1);
+
+  /// Folds a batch of sanitized delta traces. `all_addresses` must be the
+  /// *merged* unsanitized address population (base + every delta so far).
   void fold(const trace::TraceCorpus& sanitized_delta,
             std::span<const net::Ipv4Address> all_addresses,
             unsigned threads = 1);
@@ -142,9 +152,6 @@ class InterfaceGraph {
   [[nodiscard]] HalfId other_side_id(HalfId id) const { return other_ids_[id]; }
 
  private:
-  /// Sorted, unique packed forward edges `a << 32 | b` of `sanitized`.
-  [[nodiscard]] static std::vector<std::uint64_t> edges_of(
-      const trace::TraceCorpus& sanitized);
   /// The sorted forward edges currently stored in the spans.
   [[nodiscard]] std::vector<std::uint64_t> stored_edges() const;
   /// Rebuilds every member but other_sides_ from sorted unique edges.

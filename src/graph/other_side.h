@@ -63,6 +63,11 @@ class OtherSideMap {
   /// Number of distinct build-set addresses.
   [[nodiscard]] std::size_t size() const { return addresses_.size(); }
 
+  /// The build set, sorted and unique.
+  [[nodiscard]] const std::vector<net::Ipv4Address>& addresses() const {
+    return addresses_;
+  }
+
  private:
   std::vector<net::Ipv4Address> addresses_;  // sorted, unique
 };

@@ -1,14 +1,14 @@
 // Incremental MAP-IT pipeline: the in-memory state `mapit ingest` folds
 // delta traces into.
 //
-// The pipeline loads the base run once (corpus, RIB, optional AS datasets),
-// builds the interface graph, and then accepts delta batches: each batch is
-// sanitized independently (per-trace decisions — identical whether a trace
-// is sanitized in the base load or in a delta), its raw addresses are
-// merged into the corpus-wide address population (the §4.2 other-side
-// heuristic deliberately sees discarded traces too), and the graph is
-// folded via InterfaceGraph::fold. Publishing runs the full multipass
-// engine cold over the folded graph — the engine's passes are
+// The pipeline loads the base run once through core::load_inputs (corpus
+// streamed into the graph, RIB, optional AS datasets), and then accepts
+// delta batches: each batch is digested like the base (per-trace §4.1
+// decisions — identical whether a trace arrives in the base load or in a
+// delta), its raw addresses join the graph's address population (the §4.2
+// other-side heuristic deliberately sees discarded traces too), and the
+// graph is folded via InterfaceGraph::fold. Publishing runs the full
+// multipass engine cold over the folded graph — the engine's passes are
 // history-dependent, so re-running from scratch per batch is the only
 // recompute that preserves byte-identical equivalence with a cold batch
 // run; the incremental part is never re-parsing, re-sanitizing, or
@@ -26,19 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "asdata/as2org.h"
-#include "asdata/ixp.h"
-#include "asdata/relationships.h"
-#include "bgp/ip2as.h"
-#include "bgp/rib.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
+#include "core/inputs.h"
 #include "fault/io.h"
-#include "graph/interface_graph.h"
-#include "net/ipv4.h"
 #include "net/load_report.h"
 #include "store/writer.h"
-#include "trace/sanitize.h"
 #include "trace/trace.h"
 
 namespace mapit::ingest {
@@ -84,35 +77,27 @@ class IngestPipeline {
   /// these against a cold run's without touching the filesystem).
   [[nodiscard]] std::string serialize() const;
 
-  [[nodiscard]] std::size_t interfaces() const { return graph_->size(); }
-  [[nodiscard]] std::size_t base_traces() const { return base_traces_; }
+  [[nodiscard]] std::size_t interfaces() const {
+    return inputs_->graph->size();
+  }
+  [[nodiscard]] std::size_t base_traces() const {
+    return inputs_->sanitize.input_traces;
+  }
   [[nodiscard]] std::size_t delta_traces() const { return delta_traces_; }
   [[nodiscard]] const LoadReport& base_trace_report() const {
-    return trace_report_;
+    return inputs_->trace_report;
   }
   [[nodiscard]] const LoadReport& base_rib_report() const {
-    return rib_report_;
+    return inputs_->rib_report;
   }
 
  private:
   [[nodiscard]] core::Result run() const;
 
   core::Options options_;
+  std::unique_ptr<core::Inputs> inputs_;
   core::CheckpointMeta meta_;
-  LoadReport trace_report_;
-  LoadReport rib_report_;
-  std::size_t base_traces_ = 0;
   std::size_t delta_traces_ = 0;
-
-  bgp::Rib rib_;
-  asdata::AsRelationships rels_;
-  asdata::As2Org orgs_;
-  asdata::IxpRegistry ixps_;
-  /// Sorted distinct addresses of the raw corpus, base plus every folded
-  /// delta so far (the §4.2 witness population).
-  std::vector<net::Ipv4Address> all_addresses_;
-  std::unique_ptr<graph::InterfaceGraph> graph_;
-  std::unique_ptr<bgp::Ip2As> ip2as_;
 };
 
 }  // namespace mapit::ingest

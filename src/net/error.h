@@ -22,6 +22,12 @@ class ParseError : public Error {
   using Error::Error;
 };
 
+/// An input file could not be opened; what() is "cannot open <path>".
+class OpenError : public Error {
+ public:
+  using Error::Error;
+};
+
 /// A caller violated a documented API precondition.
 class InvariantError : public Error {
  public:

@@ -1,5 +1,5 @@
 // Open-addressing map from IPv4 address to flag bits, for the
-// distinct-address passes over a hop arena: millions of hops, thousands of
+// distinct-address passes over trace hops: millions of hops, thousands of
 // addresses, no allocation per address.
 #pragma once
 
@@ -31,6 +31,21 @@ class AddressTable {
     if (slots_[i].flags == 0) ++used_;
     slots_[i].key = address.value();
     slots_[i].flags |= bits;
+  }
+
+  /// ORs every address's flags in `other` into this table.
+  void merge(const AddressTable& other) {
+    for (const Slot& slot : other.slots_) {
+      if (slot.flags != 0) mark(net::Ipv4Address(slot.key), slot.flags);
+    }
+  }
+
+  /// Number of addresses whose flags include all of `bits`.
+  [[nodiscard]] std::size_t count(std::uint8_t bits) const {
+    return static_cast<std::size_t>(
+        std::ranges::count_if(slots_, [bits](const Slot& slot) {
+          return slot.flags != 0 && (slot.flags & bits) == bits;
+        }));
   }
 
   /// Addresses whose flags include all of `bits`, ascending.

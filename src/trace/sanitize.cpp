@@ -3,49 +3,51 @@
 #include <optional>
 
 #include "parallel/thread_pool.h"
-#include "trace/address_table.h"
 
 namespace mapit::trace {
 
+void RowSanitizer::merge(const RowSanitizer& other) {
+  stats_.input_traces += other.stats_.input_traces;
+  stats_.discarded_traces += other.stats_.discarded_traces;
+  stats_.removed_ttl0_hops += other.stats_.removed_ttl0_hops;
+  addresses_.merge(other.addresses_);
+}
+
+SanitizeStats RowSanitizer::stats() const {
+  SanitizeStats stats = stats_;
+  stats.input_addresses = addresses_.count(kSeen);
+  stats.retained_addresses = addresses_.count(kRetained);
+  return stats;
+}
+
 SanitizeResult sanitize(const TraceCorpus& corpus, unsigned threads) {
-  // The cycle check is per trace, so workers run it over disjoint ranges;
-  // one sequential pass then strips, compacts and counts both populations.
-  std::vector<char> kept(corpus.size());
+  // Each worker sanitizes a contiguous range into its own clean corpus, so
+  // concatenating them in worker order keeps the input order.
   const unsigned resolved = parallel::resolve_threads(threads);
   std::optional<parallel::ThreadPool> pool;
   if (resolved > 1 && corpus.size() > 1) pool.emplace(resolved);
+  std::vector<RowSanitizer> sanitizers(resolved);
+  std::vector<TraceCorpus> clean(resolved);
   parallel::for_ranges(
       pool ? &*pool : nullptr, corpus.size(),
-      [&](unsigned, std::size_t begin, std::size_t end) {
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        TraceCorpus& out = clean[worker];
         for (std::size_t i = begin; i < end; ++i) {
-          kept[i] = !has_interface_cycle(corpus.row(i), /*skip_ttl0=*/true);
+          const TraceRow row = corpus.row(i);
+          if (sanitizers[worker].add(
+                  row, [&](const TraceHop& hop) { out.push_hop(hop); })) {
+            out.close_trace(row.monitor, row.destination);
+          }
         }
       });
-
-  constexpr std::uint8_t kSeen = 1;      // responds in the input
-  constexpr std::uint8_t kRetained = 2;  // responds in a kept, unstripped hop
   SanitizeResult result;
-  result.stats.input_traces = corpus.size();
-  AddressTable addresses;
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const TraceRow trace = corpus.row(i);
-    for (const TraceHop& hop : trace.hops) {
-      const bool retained = kept[i] && !hop.quotes_ttl0();
-      if (hop.quotes_ttl0()) ++result.stats.removed_ttl0_hops;
-      if (hop.responsive) {
-        addresses.mark(hop.address, retained ? kSeen | kRetained : kSeen);
-      }
-      if (retained) result.clean.push_hop(hop);
-    }
-    if (kept[i]) {
-      result.clean.close_trace(trace.monitor, trace.destination);
-    } else {
-      ++result.stats.discarded_traces;
-    }
+  result.clean = std::move(clean[0]);
+  for (unsigned w = 1; w < resolved; ++w) {
+    result.clean.append(clean[w]);
+    sanitizers[0].merge(sanitizers[w]);
   }
-  result.all_addresses = addresses.sorted(kSeen);
-  result.stats.input_addresses = result.all_addresses.size();
-  result.stats.retained_addresses = addresses.sorted(kRetained).size();
+  result.stats = sanitizers[0].stats();
+  result.all_addresses = sanitizers[0].all_addresses();
   return result;
 }
 

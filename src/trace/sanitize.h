@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "trace/address_table.h"
 #include "trace/trace.h"
 
 namespace mapit::trace {
@@ -46,12 +48,58 @@ struct SanitizeResult {
   std::vector<net::Ipv4Address> all_addresses;
 };
 
+/// The §4.1 rules applied one trace at a time, with the counts and the two
+/// address populations SanitizeStats reports. The state is counts and an
+/// address set, so a worker may sanitize any share of the traces with its
+/// own RowSanitizer: merged, the result does not depend on the split.
+class RowSanitizer {
+ public:
+  /// Sanitizes `row`. Every responding address is marked seen. Unless the
+  /// row has an interface cycle (checked as if its TTL-0 hops were gone),
+  /// each hop that survives TTL-0 stripping is marked retained and passed
+  /// to `retained(hop)`, in order. Returns whether the row is kept.
+  template <class OnHop>
+  bool add(TraceRow row, OnHop&& retained) {
+    const bool kept = !has_interface_cycle(row, /*skip_ttl0=*/true);
+    ++stats_.input_traces;
+    if (!kept) ++stats_.discarded_traces;
+    for (const TraceHop& hop : row.hops) {
+      const bool keep_hop = kept && !hop.quotes_ttl0();
+      if (hop.quotes_ttl0()) ++stats_.removed_ttl0_hops;
+      if (hop.responsive) {
+        addresses_.mark(hop.address, keep_hop ? kSeen | kRetained : kSeen);
+      }
+      if (keep_hop) retained(hop);
+    }
+    return kept;
+  }
+
+  /// Adds `other`'s traces, as if this sanitizer had seen them too.
+  void merge(const RowSanitizer& other);
+
+  /// The counts so far, distinct addresses included.
+  [[nodiscard]] SanitizeStats stats() const;
+
+  /// Every distinct responding address so far, discarded traces included
+  /// (sorted): the §4.2 other-side population.
+  [[nodiscard]] std::vector<net::Ipv4Address> all_addresses() const {
+    return addresses_.sorted(kSeen);
+  }
+
+ private:
+  static constexpr std::uint8_t kSeen = 1;      // responds in the input
+  static constexpr std::uint8_t kRetained = 2;  // responds in a kept hop
+  SanitizeStats stats_;  // address counts are filled in by stats()
+  AddressTable addresses_;
+};
+
 /// Returns the TTL-0-stripped, cycle-free traces plus statistics, in one
 /// pass over the hops. TTL-0 hop removal happens *before* the cycle check,
 /// mirroring the paper's step order ("After sanitizing a trace, we attempt
 /// to identify if load balancing or a transient routing change occurred").
-/// `threads` workers run the cycle checks (0 = one per hardware thread,
-/// 1 = sequential); the result is identical for every thread count.
+/// `threads` workers each sanitize a contiguous range of traces with their
+/// own RowSanitizer (0 = one per hardware thread, 1 = sequential); the
+/// result is identical for every thread count.
 [[nodiscard]] SanitizeResult sanitize(const TraceCorpus& corpus,
                                       unsigned threads = 1);
 

@@ -93,6 +93,13 @@ class TraceCorpus {
   void push_hop(TraceHop hop) { hops_.push_back(hop); }
   void close_trace(MonitorId monitor, net::Ipv4Address destination);
   void drop_open_hops() { hops_.resize(ends_.empty() ? 0 : ends_.back()); }
+  /// Removes every trace, keeping the allocated capacity.
+  void clear() {
+    hops_.clear();
+    ends_.clear();
+    monitors_.clear();
+    destinations_.clear();
+  }
 
   /// Trace `i` (< size()).
   [[nodiscard]] TraceRow row(std::size_t i) const {

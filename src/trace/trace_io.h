@@ -13,6 +13,7 @@
 // counter advancing, matching how traceroute output is read.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -32,21 +33,36 @@ namespace mapit::trace {
 /// Writes the whole corpus, one trace per line, with a header comment.
 void write_corpus(std::ostream& out, const TraceCorpus& corpus);
 
+/// Receives the traces stream_corpus parses: `worker`'s share of one block,
+/// valid only during the call.
+using RowSink =
+    std::function<void(unsigned worker, const TraceCorpus& traces)>;
+
 /// Reads a corpus written by write_corpus (or hand-authored in the same
-/// format). A line may end in CRLF: its '\r' is dropped, but still counted
-/// in byte offsets.
+/// format) without keeping it. A line may end in CRLF: its '\r' is
+/// dropped, but still counted in byte offsets.
 ///
-/// Strict mode (`report == nullptr`, the default) throws mapit::ParseError
-/// naming the first offending line. Lenient mode (`report != nullptr`)
-/// quarantines instead: malformed lines are skipped and counted into
-/// `*report` (line numbers ascending), and every well-formed line loads.
+/// The stream is read in fixed-size blocks, and each block is cut into one
+/// line-aligned chunk per worker (`threads` workers: 0 = one per hardware
+/// thread, 1 = the sequential reader). Worker w < resolve_threads(threads)
+/// parses its chunk and passes the well-formed traces to sink(w, traces)
+/// on its own thread, so the calls for one block run concurrently and each
+/// worker sees its own chunks in file order. Every call for a block
+/// returns before the next block is read.
 ///
-/// The stream is read in fixed-size blocks; `threads` workers (0 = one per
-/// hardware thread, 1 = the sequential reader) parse line-aligned chunks of
-/// each block concurrently. The result is byte-identical for every thread
-/// count: traces keep file order, the strict-mode error is the one the
-/// sequential reader would hit first, and the lenient-mode LoadReport is
-/// the sequential reader's report exactly.
+/// Strict mode (`report == nullptr`) throws mapit::ParseError naming the
+/// first offending line. Lenient mode (`report != nullptr`) quarantines
+/// instead: malformed lines are skipped and counted into `*report` (line
+/// numbers ascending), and every well-formed line is passed on. Both are
+/// identical for every thread count: the strict-mode error is the one the
+/// sequential reader would hit first, and the LoadReport is the sequential
+/// reader's exactly. In strict mode the sink may already have seen traces
+/// from after the offending line when the error is thrown.
+void stream_corpus(std::istream& in, unsigned threads, LoadReport* report,
+                   const RowSink& sink);
+
+/// stream_corpus, keeping every well-formed trace in file order. The result
+/// is byte-identical for every thread count.
 [[nodiscard]] TraceCorpus read_corpus(std::istream& in, unsigned threads = 1,
                                       LoadReport* report = nullptr);
 

@@ -81,7 +81,8 @@ if(NOT err MATCHES "usage:" OR NOT out STREQUAL "")
           "(stdout='${out}', stderr='${err}')")
 endif()
 
-# Snapshot -> query round trip: build the artifact twice (different thread
+# Snapshot -> query round trip: build the artifact twice (4 threads, then
+# 1; the count is explicit so a 1-CPU runner still compares two different
 # counts) and require byte-identical files, then check query answers match
 # the run output line for line.
 execute_process(
@@ -92,6 +93,7 @@ execute_process(
     --as2org ${WORK_DIR}/as2org.txt
     --ixps ${WORK_DIR}/ixps.txt
     --out ${WORK_DIR}/snapshot.bin
+    --threads 4
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "crc32")
   message(FATAL_ERROR "snapshot failed (${rc}): ${out}${err}")
@@ -142,6 +144,41 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT out STREQUAL expected)
   message(FATAL_ERROR "query answers diverge from run output")
+endif()
+
+# The committed canned batch must get the committed golden answers byte for
+# byte; its trailing `stats` answer embeds the artifact's CRC.
+execute_process(
+  COMMAND ${MAPIT_BIN} query ${WORK_DIR}/snapshot.bin
+  INPUT_FILE ${GOLDEN_DIR}/golden_queries.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+file(READ ${GOLDEN_DIR}/golden_answers.txt golden)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL golden)
+  message(FATAL_ERROR "golden query answers differ (${rc}): ${out}${err}")
+endif()
+
+# The same traces with CRLF line endings must give the same bytes.
+file(READ ${WORK_DIR}/traces.txt lf_text)
+string(REPLACE "\n" "\r\n" crlf_text "${lf_text}")
+file(WRITE ${WORK_DIR}/traces_crlf.txt "${crlf_text}")
+execute_process(
+  COMMAND ${MAPIT_BIN} snapshot
+    --traces ${WORK_DIR}/traces_crlf.txt
+    --rib ${WORK_DIR}/rib.txt
+    --relationships ${WORK_DIR}/relationships.txt
+    --as2org ${WORK_DIR}/as2org.txt
+    --ixps ${WORK_DIR}/ixps.txt
+    --out ${WORK_DIR}/snapshot_crlf.bin
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "CRLF snapshot failed (${rc}): ${err}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/snapshot.bin ${WORK_DIR}/snapshot_crlf.bin
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "CRLF snapshot differs from the LF snapshot")
 endif()
 
 # stats must answer and name the artifact version.

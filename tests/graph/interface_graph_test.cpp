@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph_input.h"
 #include "test_util.h"
 #include "trace/sanitize.h"
 #include "trace/trace_io.h"
@@ -388,6 +389,40 @@ TEST(InterfaceGraphFold, DiscardedDeltaStillWitnessesFlip) {
   EXPECT_EQ(folded.address_at(folded.other_side_id(id)), addr("1.0.0.0"));
   EXPECT_GE(folded.other_side_id(id), folded.record_half_count());
   expect_same_graph(folded, cold_graph(lines));
+}
+
+TEST(InterfaceGraphFold, NoOpDeltaLeavesGraphUntouched) {
+  const std::vector<std::string> lines{
+      "0|9.9.9.9|5.0.0.1 1.0.0.1 6.0.0.1",
+      "1|9.9.9.9|7.0.0.1 1.0.0.2 5.0.0.1",
+  };
+  InterfaceGraph graph = cold_graph(lines);
+  const InterfaceGraph before = cold_graph(lines);
+  // Nothing new: the same edges again, a cycle-discarded trace and a
+  // TTL-0 hop, all over known addresses.
+  const std::vector<std::string> repeat{
+      "2|9.9.9.9|5.0.0.1 1.0.0.1 6.0.0.1",
+      "3|9.9.9.9|1.0.0.1 6.0.0.1 1.0.0.1",
+      "4|9.9.9.9|7.0.0.1 1.0.0.2@0 5.0.0.1",
+  };
+  GraphDigest digest;
+  for (const std::string& line : repeat) {
+    digest.add_raw(trace::parse_trace(line, "test trace"));
+  }
+  const GraphInput delta = digest.finish();
+  ASSERT_FALSE(delta.edges.empty());
+  graph.fold(delta, 2);
+  expect_same_graph(graph, before);
+
+  // A new population address alone is not a no-op: 1.0.0.0 witnesses
+  // 1.0.0.1's reserved /30 slot and flips it to /31.
+  GraphDigest witness;
+  witness.add_raw(trace::parse_trace("5|9.9.9.9|8.0.0.1 1.0.0.0 8.0.0.1"));
+  const GraphInput flip = witness.finish();
+  ASSERT_TRUE(flip.edges.empty());
+  graph.fold(flip, 1);
+  const HalfId id = graph.half_id(forward_half(addr("1.0.0.1")));
+  EXPECT_EQ(graph.address_at(graph.other_side_id(id)), addr("1.0.0.0"));
 }
 
 TEST(InterfaceHalfType, NotationAndOpposite) {

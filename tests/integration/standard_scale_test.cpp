@@ -9,6 +9,8 @@
 #include "baselines/claims.h"
 #include "baselines/simple.h"
 #include "eval/experiment.h"
+#include "store/format.h"
+#include "store/writer.h"
 
 namespace mapit {
 namespace {
@@ -77,6 +79,26 @@ TEST_F(StandardScaleTest, SimpleHeuristicStaysFarBehind) {
         experiment().evaluator().verify(truth, simple).total.precision();
     const double ours = verify(target).precision();
     EXPECT_GT(ours, baseline_precision + 0.3) << "AS" << target;
+  }
+}
+
+TEST_F(StandardScaleTest, SnapshotBytesArePinned) {
+  // The standard experiment's snapshot under default options, at two
+  // thread counts: any drift in trace, graph, engine or store output
+  // moves these numbers.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    core::Options options;
+    options.threads = threads;
+    const core::Result run = experiment().run_mapit(options);
+    EXPECT_EQ(run.inferences.size(), 3633u);
+    const std::string bytes = store::serialize_snapshot(store::make_snapshot_data(
+        run, experiment().graph(), experiment().ip2as()));
+    EXPECT_EQ(bytes.size(), 200980u);
+    constexpr std::size_t kHeader = sizeof(store::SnapshotHeader);
+    ASSERT_GT(bytes.size(), kHeader);
+    EXPECT_EQ(store::crc32(bytes.data() + kHeader, bytes.size() - kHeader),
+              0xa7e566b3u);
   }
 }
 

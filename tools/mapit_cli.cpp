@@ -33,6 +33,7 @@
 #include "core/engine.h"
 #include "core/as_path.h"
 #include "core/explain.h"
+#include "core/inputs.h"
 #include "core/result_io.h"
 #include "core/supervisor.h"
 #include "eval/diff_sweep.h"
@@ -448,44 +449,70 @@ struct CheckpointSetup {
   core::CheckpointMeta meta;     ///< this invocation's identity
 };
 
-/// Everything the `run`-shaped subcommands (run, snapshot) share: datasets
-/// loaded, interface graph and IP2AS composite built (the traces are only
-/// needed to build the graph). Later members reference earlier ones (ip2as
-/// points at ixps), so the struct is heap-held and immovable once built.
+/// Everything the `run`-shaped subcommands (run, snapshot) share: the
+/// engine and supervision options, and the loaded inputs.
 struct RunPipeline {
   core::Options options;
   std::optional<CheckpointSetup> checkpoint;
   core::SupervisorOptions supervisor;
-  bgp::Rib rib;
-  asdata::AsRelationships rels;
-  asdata::As2Org orgs;
-  asdata::IxpRegistry ixps;
-  std::unique_ptr<graph::InterfaceGraph> graph;
-  std::unique_ptr<bgp::Ip2As> ip2as;
+  std::unique_ptr<core::Inputs> inputs;
 
   [[nodiscard]] core::Result run() const {
-    return core::run_mapit(*graph, *ip2as, orgs, rels, options);
+    return core::run_mapit(*inputs->graph, *inputs->ip2as, inputs->orgs,
+                           inputs->rels, options);
   }
 };
+
+/// The input paths shared by run, snapshot, paths and stats; `--rib` is
+/// read only when `with_rib`.
+core::InputPaths parse_input_paths(Args& args, const char* verb,
+                                   bool with_rib) {
+  const auto traces_path = args.value("--traces");
+  const auto rib_path = with_rib ? args.value("--rib") : std::nullopt;
+  if (!traces_path || (with_rib && !rib_path)) {
+    std::cerr << verb
+              << (with_rib ? ": --traces and --rib are required\n"
+                           : ": --traces is required\n");
+    usage(kExitUsage);
+  }
+  core::InputPaths paths;
+  paths.traces = *traces_path;
+  if (with_rib) {
+    paths.rib = *rib_path;
+    paths.relationships = args.value("--relationships").value_or("");
+    paths.as2org = args.value("--as2org").value_or("");
+    paths.ixps = args.value("--ixps").value_or("");
+  }
+  return paths;
+}
+
+/// Loads the inputs, printing any lenient-mode quarantine summaries. A
+/// file that cannot be opened exits like open_or_die.
+std::unique_ptr<core::Inputs> load_and_report(
+    const core::InputPaths& paths, const core::LoadOptions& options) {
+  std::unique_ptr<core::Inputs> inputs;
+  try {
+    inputs = core::load_inputs(paths, options);
+  } catch (const OpenError& error) {
+    std::cerr << error.what() << "\n";
+    std::exit(kExitLoadError);
+  }
+  if (options.lenient) {
+    report_quarantine("traces", inputs->trace_report);
+    if (!paths.rib.empty()) report_quarantine("rib", inputs->rib_report);
+  }
+  return inputs;
+}
 
 /// Parses the shared run options out of `args` and builds the pipeline.
 /// The caller must have claimed its subcommand-specific flags already:
 /// this calls reject_unknown() before doing any heavy work.
 std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
-  const auto traces_path = args.value("--traces");
-  const auto rib_path = args.value("--rib");
-  if (!traces_path || !rib_path) {
-    std::cerr << verb << ": --traces and --rib are required\n";
-    usage(kExitUsage);
-  }
-
+  const core::InputPaths paths = parse_input_paths(args, verb, true);
   auto pipeline = std::make_unique<RunPipeline>();
   core::Options& options = pipeline->options;
   options = parse_engine_options(args);
   const bool lenient = args.flag("--lenient");
-  const auto relationships_path = args.value("--relationships");
-  const auto as2org_path = args.value("--as2org");
-  const auto ixps_path = args.value("--ixps");
 
   const auto checkpoint_dir = args.value("--checkpoint-dir");
   const auto resume_dir = args.value("--resume");
@@ -542,64 +569,19 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
   }
   args.reject_unknown();
 
-  LoadReport trace_report;
-  LoadReport rib_report;
-  auto traces_stream = open_or_die(*traces_path);
-  trace::TraceCorpus corpus = trace::read_corpus(
-      traces_stream, options.threads, lenient ? &trace_report : nullptr);
-  auto rib_stream = open_or_die(*rib_path);
-  pipeline->rib = bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
-  if (lenient) {
-    report_quarantine("traces", trace_report);
-    report_quarantine("rib", rib_report);
-  }
-
-  if (relationships_path) {
-    auto stream = open_or_die(*relationships_path);
-    pipeline->rels = asdata::AsRelationships::read(stream);
-  }
-  if (as2org_path) {
-    auto stream = open_or_die(*as2org_path);
-    pipeline->orgs = asdata::As2Org::read(stream);
-  }
-  if (ixps_path) {
-    auto stream = open_or_die(*ixps_path);
-    pipeline->ixps = asdata::IxpRegistry::read(stream);
-  }
-
+  pipeline->inputs =
+      load_and_report(paths, {.threads = options.threads, .lenient = lenient});
   if (pipeline->checkpoint) {
     // Identity of this invocation: any change to the engine options or to
     // the raw input bytes between checkpoint and resume must be caught, so
     // fingerprint the files themselves (cheap next to the run).
-    CheckpointSetup& setup = *pipeline->checkpoint;
-    setup.meta.config_hash = core::config_hash(options);
-    setup.meta.corpus_fingerprint = core::fingerprint_file(*traces_path);
-    setup.meta.rib_fingerprint = core::fingerprint_file(*rib_path);
-    std::uint64_t datasets = core::kFingerprintSeed;
-    for (const auto& optional_path :
-         {relationships_path, as2org_path, ixps_path}) {
-      // Presence markers keep "no file" distinct from "empty file" and from
-      // the same bytes arriving under a different dataset slot.
-      datasets = core::fingerprint_bytes(datasets, optional_path ? "+" : "-");
-      if (optional_path) {
-        datasets = core::fingerprint_file(*optional_path, datasets);
-      }
-    }
-    setup.meta.datasets_fingerprint = datasets;
+    pipeline->checkpoint->meta = core::input_meta(paths, options);
   }
-
-  const trace::SanitizeResult sanitized =
-      trace::sanitize(corpus, options.threads);
-  std::cerr << "sanitized " << corpus.size() << " traces ("
-            << sanitized.stats.discarded_traces << " discarded, "
-            << sanitized.stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
-  corpus = {};  // the raw traces are done with; free them before the build
-
-  pipeline->graph = std::make_unique<graph::InterfaceGraph>(
-      sanitized.clean, sanitized.all_addresses, options.threads);
-  pipeline->ip2as = std::make_unique<bgp::Ip2As>(
-      pipeline->rib, net::PrefixTrie<asdata::Asn>{}, &pipeline->ixps);
-  std::cerr << "interface graph: " << pipeline->graph->size()
+  const trace::SanitizeStats& sanitized = pipeline->inputs->sanitize;
+  std::cerr << "sanitized " << sanitized.input_traces << " traces ("
+            << sanitized.discarded_traces << " discarded, "
+            << sanitized.removed_ttl0_hops << " TTL=0 hops removed)\n";
+  std::cerr << "interface graph: " << pipeline->inputs->graph->size()
             << " interfaces\n";
   return pipeline;
 }
@@ -626,8 +608,9 @@ EngineRunResult run_engine(const RunPipeline& pipeline) {
   const std::string path = core::checkpoint_path(setup.dir);
   std::filesystem::create_directories(setup.dir);
 
-  core::Engine engine(*pipeline.graph, *pipeline.ip2as, pipeline.orgs,
-                      pipeline.rels, pipeline.options);
+  const core::Inputs& inputs = *pipeline.inputs;
+  core::Engine engine(*inputs.graph, *inputs.ip2as, inputs.orgs, inputs.rels,
+                      pipeline.options);
   core::SignalGuard signals;
   core::RunSupervisor supervisor(pipeline.supervisor, &signals);
 
@@ -715,7 +698,7 @@ int cmd_run(Args& args) {
   }
   if (explain_address) {
     std::cerr << core::explain(
-        result, *pipeline->graph, *pipeline->ip2as,
+        result, *pipeline->inputs->graph, *pipeline->inputs->ip2as,
         net::Ipv4Address::parse_or_throw(*explain_address));
   }
   return kExitOk;
@@ -733,7 +716,8 @@ int cmd_snapshot(Args& args) {
   if (!run.result) return kExitInterrupted;
   const core::Result result = std::move(*run.result);
   const store::SnapshotData data =
-      store::make_snapshot_data(result, *pipeline->graph, *pipeline->ip2as);
+      store::make_snapshot_data(result, *pipeline->inputs->graph,
+                                *pipeline->inputs->ip2as);
   const store::WriteInfo info = store::write_snapshot_file(data, *out_path);
 
   char crc_hex[9];
@@ -1303,12 +1287,7 @@ int cmd_supervise(Args& args) {
 }
 
 int cmd_paths(Args& args) {
-  const auto traces_path = args.value("--traces");
-  const auto rib_path = args.value("--rib");
-  if (!traces_path || !rib_path) {
-    std::cerr << "paths: --traces and --rib are required\n";
-    usage(kExitUsage);
-  }
+  const core::InputPaths paths = parse_input_paths(args, "paths", true);
   std::size_t limit = 20;
   if (const auto l = args.value("--limit")) {
     const auto parsed = net::parse_uint<std::size_t>(*l);
@@ -1321,47 +1300,16 @@ int cmd_paths(Args& args) {
   }
   const unsigned threads = parse_threads(args);
   const bool lenient = args.flag("--lenient");
-  const auto relationships_path = args.value("--relationships");
-  const auto as2org_path = args.value("--as2org");
-  const auto ixps_path = args.value("--ixps");
   args.reject_unknown();
 
-  LoadReport trace_report;
-  LoadReport rib_report;
-  auto traces_stream = open_or_die(*traces_path);
-  const trace::TraceCorpus corpus = trace::read_corpus(
-      traces_stream, threads, lenient ? &trace_report : nullptr);
-  auto rib_stream = open_or_die(*rib_path);
-  const bgp::Rib rib =
-      bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
-  if (lenient) {
-    report_quarantine("traces", trace_report);
-    report_quarantine("rib", rib_report);
-  }
-  asdata::AsRelationships rels;
-  if (relationships_path) {
-    auto stream = open_or_die(*relationships_path);
-    rels = asdata::AsRelationships::read(stream);
-  }
-  asdata::As2Org orgs;
-  if (as2org_path) {
-    auto stream = open_or_die(*as2org_path);
-    orgs = asdata::As2Org::read(stream);
-  }
-  asdata::IxpRegistry ixps;
-  if (ixps_path) {
-    auto stream = open_or_die(*ixps_path);
-    ixps = asdata::IxpRegistry::read(stream);
-  }
-
-  const auto sanitized = trace::sanitize(corpus, threads);
-  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses,
-                                    threads);
-  const bgp::Ip2As ip2as(rib, net::PrefixTrie<asdata::Asn>{}, &ixps);
+  const auto inputs = load_and_report(paths, {.threads = threads,
+                                              .lenient = lenient,
+                                              .keep_clean_rows = true});
+  const bgp::Ip2As& ip2as = *inputs->ip2as;
   core::Options paths_options;
   paths_options.threads = threads;
-  const core::Result result =
-      core::run_mapit(graph, ip2as, orgs, rels, paths_options);
+  const core::Result result = core::run_mapit(
+      *inputs->graph, ip2as, inputs->orgs, inputs->rels, paths_options);
   const core::PathAnnotator annotator(result, ip2as);
 
   auto print_path = [](const char* label,
@@ -1371,7 +1319,7 @@ int cmd_paths(Args& args) {
     std::cout << "\n";
   };
   std::size_t shown = 0;
-  for (const trace::TraceRow t : sanitized.clean.traces()) {
+  for (const trace::TraceRow t : inputs->clean.traces()) {
     if (shown >= limit) break;
     const core::AnnotatedPath annotated = annotator.annotate(t);
     if (annotated.as_path == annotated.naive_as_path) continue;  // boring
@@ -1383,7 +1331,7 @@ int cmd_paths(Args& args) {
   }
   if (shown == 0) {
     std::cout << "no traces with corrected AS paths in the first "
-              << sanitized.clean.size() << "\n";
+              << inputs->clean.size() << "\n";
   }
   return 0;
 }
@@ -1447,32 +1395,23 @@ int cmd_eval(Args& args) {
 }
 
 int cmd_stats(Args& args) {
-  const auto traces_path = args.value("--traces");
-  if (!traces_path) {
-    std::cerr << "stats: --traces is required\n";
-    usage(kExitUsage);
-  }
+  const core::InputPaths paths = parse_input_paths(args, "stats", false);
   const unsigned threads = parse_threads(args);
   const bool lenient = args.flag("--lenient");
   args.reject_unknown();
-  LoadReport trace_report;
-  auto stream = open_or_die(*traces_path);
-  const trace::TraceCorpus corpus =
-      trace::read_corpus(stream, threads, lenient ? &trace_report : nullptr);
-  if (lenient) report_quarantine("traces", trace_report);
-  const auto sanitized = trace::sanitize(corpus, threads);
-  const graph::InterfaceGraph graph(sanitized.clean, sanitized.all_addresses,
-                                    threads);
-  const graph::GraphStats gs = graph.stats();
+  const auto inputs =
+      load_and_report(paths, {.threads = threads, .lenient = lenient});
+  const trace::SanitizeStats& sanitized = inputs->sanitize;
+  const graph::GraphStats gs = inputs->graph->stats();
 
-  std::cout << "traces                : " << corpus.size() << "\n"
-            << "discarded (cycles)    : " << sanitized.stats.discarded_traces
-            << " (" << 100.0 * sanitized.stats.discard_fraction() << "%)\n"
-            << "TTL=0 hops removed    : " << sanitized.stats.removed_ttl0_hops
+  std::cout << "traces                : " << sanitized.input_traces << "\n"
+            << "discarded (cycles)    : " << sanitized.discarded_traces
+            << " (" << 100.0 * sanitized.discard_fraction() << "%)\n"
+            << "TTL=0 hops removed    : " << sanitized.removed_ttl0_hops
             << "\n"
-            << "distinct addresses    : " << sanitized.stats.input_addresses
-            << " -> " << sanitized.stats.retained_addresses << " ("
-            << 100.0 * sanitized.stats.address_retention() << "% retained)\n"
+            << "distinct addresses    : " << sanitized.input_addresses
+            << " -> " << sanitized.retained_addresses << " ("
+            << 100.0 * sanitized.address_retention() << "% retained)\n"
             << "graph interfaces      : " << gs.interfaces << "\n"
             << "|N_F| > 1             : " << gs.forward_multi << "\n"
             << "|N_B| > 1             : " << gs.backward_multi << "\n"
