@@ -35,7 +35,7 @@ enum class StopReason : std::uint8_t {
   kSignal,         ///< SIGTERM/SIGINT arrived
   kDeadline,       ///< --deadline wall-clock budget exhausted
   kMemoryBudget,   ///< peak RSS exceeded --memory-budget
-  kBoundaryLimit,  ///< internal: stop after N boundaries (tests, ci.sh)
+  kBoundaryLimit,  ///< internal: stop after N boundaries (tests)
 };
 
 [[nodiscard]] const char* to_string(StopReason reason);

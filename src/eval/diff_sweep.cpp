@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -172,9 +173,14 @@ DiffSweepReport run_diff_sweep(const DiffSweepOptions& options) {
     }
   }
   const std::uint64_t fingerprint = grid_fingerprint(options);
+  const std::size_t total = options.rates.size() * options.seeds.size();
   std::vector<DiffSweepCell> done;
   if (!options.state_path.empty()) {
     done = load_state(options.state_path, fingerprint);
+    // Only an interrupted sweep may be resumed. A state holding every cell
+    // was left by a completed one (a build that kept it, or a kill between
+    // the last rewrite and the removal below): recompute it all.
+    if (done.size() >= total) done.clear();
   }
   const auto completed = [&done](double rate, std::uint64_t seed) {
     return std::any_of(done.begin(), done.end(),
@@ -183,7 +189,6 @@ DiffSweepReport run_diff_sweep(const DiffSweepOptions& options) {
                        });
   };
 
-  const std::size_t total = options.rates.size() * options.seeds.size();
   std::size_t index = 0;
   for (const double rate : options.rates) {
     for (const std::uint64_t seed : options.seeds) {
@@ -219,6 +224,14 @@ DiffSweepReport run_diff_sweep(const DiffSweepOptions& options) {
                                  encode_state(fingerprint, done));
       }
     }
+  }
+  if (!options.state_path.empty()) {
+    // Every cell is done; the report supersedes the state. The fingerprint
+    // covers the grid, not the code, so a state left behind would let the
+    // next sweep resume every cell and run no engine at all. Removal is
+    // best-effort, as for a completed run's checkpoint.
+    std::error_code ec;
+    std::filesystem::remove(options.state_path, ec);
   }
 
   DiffSweepReport report;

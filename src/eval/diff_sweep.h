@@ -20,6 +20,9 @@
 // completed cell; it is rewritten through fault::write_file_atomic after
 // every cell, so a killed sweep resumes at the first unfinished cell and
 // a state file from a *different* grid is discarded, never misapplied.
+// A completed sweep removes its state file, and a state holding every cell
+// is recomputed rather than resumed: the fingerprint pins the grid, not the
+// code, so only an interrupted sweep may be resumed.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +68,9 @@ struct DiffSweepReport {
 [[nodiscard]] std::uint64_t grid_fingerprint(const DiffSweepOptions& options);
 
 /// Runs every cell of the grid (resuming completed cells from
-/// `options.state_path` when it exists and matches the grid) and returns
-/// the full report. Throws mapit::Error on unusable state files.
+/// `options.state_path` when it exists and matches the grid), removes the
+/// state file once every cell is done, and returns the full report.
+/// Throws mapit::Error on unusable state files.
 [[nodiscard]] DiffSweepReport run_diff_sweep(const DiffSweepOptions& options);
 
 /// Serializes the report as pretty-printed JSON (stable field order, LF

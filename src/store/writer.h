@@ -10,7 +10,7 @@
 // Determinism: serialization depends only on the record values — reserved
 // bytes are zeroed, sections are emitted in a fixed order, and alignment
 // padding is zero-filled — so identical runs produce byte-identical
-// artifacts (the CI snapshot smoke pins the CRC of the standard run).
+// artifacts (StandardScaleTest pins the CRC of the standard run).
 #pragma once
 
 #include <cstdint>

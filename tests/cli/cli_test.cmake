@@ -25,6 +25,7 @@ execute_process(
     --ixps ${WORK_DIR}/ixps.txt
     --output ${WORK_DIR}/inferences.txt
     --uncertain ${WORK_DIR}/uncertain.txt
+    --threads 1
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "run failed (${rc}): ${out}${err}")
@@ -216,17 +217,20 @@ message(STATUS "cli snapshot/query OK")
 
 # Checkpoint/resume through the real binary: stop at every run boundary
 # (one boundary per invocation via --stop-after 1, exit code 5), chain
-# --resume until the run completes, and require the final inferences to be
-# byte-identical to the uninterrupted run's output above.
+# --resume until the run completes, and require the final inferences and
+# uncertain set to be byte-identical to the uninterrupted run's output
+# above. The chain runs 8 engine threads against that 1-thread reference.
 set(ckpt_dir ${WORK_DIR}/ckpt)
-set(run_flags
+set(input_flags
   --traces ${WORK_DIR}/traces.txt
   --rib ${WORK_DIR}/rib.txt
   --relationships ${WORK_DIR}/relationships.txt
   --as2org ${WORK_DIR}/as2org.txt
-  --ixps ${WORK_DIR}/ixps.txt
+  --ixps ${WORK_DIR}/ixps.txt)
+set(run_flags ${input_flags}
   --output ${WORK_DIR}/resumed_inferences.txt
-  --uncertain ${WORK_DIR}/resumed_uncertain.txt)
+  --uncertain ${WORK_DIR}/resumed_uncertain.txt
+  --threads 8)
 
 execute_process(
   COMMAND ${MAPIT_BIN} run ${run_flags}
@@ -260,15 +264,48 @@ endif()
 if(legs LESS 2)
   message(FATAL_ERROR "resume chain too short to prove anything (${legs})")
 endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/inferences.txt ${WORK_DIR}/resumed_inferences.txt
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "kill/resume chain diverged from uninterrupted run")
-endif()
+foreach(pair "inferences.txt;resumed_inferences.txt"
+             "uncertain.txt;resumed_uncertain.txt")
+  list(GET pair 0 want)
+  list(GET pair 1 got)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/${want} ${WORK_DIR}/${got}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "kill/resume chain diverged from uninterrupted run "
+            "(${got})")
+  endif()
+endforeach()
 if(EXISTS ${ckpt_dir}/engine.ckpt)
   message(FATAL_ERROR "completed run did not remove its checkpoint")
+endif()
+
+# Deadline supervision: an already-expired budget must checkpoint and exit 5
+# at the first boundary, leaving a checkpoint that a plain --resume (no
+# budget) completes from with the reference bytes.
+set(deadline_flags ${input_flags} --output ${WORK_DIR}/deadline_inferences.txt)
+execute_process(
+  COMMAND ${MAPIT_BIN} run ${deadline_flags}
+          --checkpoint-dir ${WORK_DIR}/ckpt-deadline --deadline 0.000001
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 5)
+  message(FATAL_ERROR "expired --deadline should exit 5, got ${rc}: ${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} run ${deadline_flags}
+          --resume ${WORK_DIR}/ckpt-deadline
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "resume after the deadline failed (${rc}): ${err}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/inferences.txt ${WORK_DIR}/deadline_inferences.txt
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "deadline checkpoint + resume diverged from "
+          "uninterrupted run")
 endif()
 
 # A resume whose inputs changed must be rejected with exit code 4.

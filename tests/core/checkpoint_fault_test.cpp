@@ -2,9 +2,9 @@
 // rename/fsync at ANY injected syscall of write_checkpoint must leave the
 // checkpoint path holding either the complete previous checkpoint or the
 // complete new one — CRC-valid and fully readable — never a torn file.
-// This is the write-side half of the ISSUE's kill-at-any-point guarantee;
-// the engine-level kill-at-every-boundary matrix lives in
-// tests/integration/checkpoint_resume_test.cpp and tools/ci.sh.
+// This is the write-side half of the kill-at-any-point guarantee; the
+// engine-level kill-at-every-boundary matrix lives in
+// tests/integration/checkpoint_resume_test.cpp and tests/cli/cli_test.cmake.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>

@@ -1,5 +1,6 @@
 // Differential-sweep tests: JSON round-trip, drift detection, grid
-// fingerprinting, and crash-resume through the state file.
+// fingerprinting, crash-resume through the state file, and its removal
+// once the sweep completes.
 #include "eval/diff_sweep.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/error.h"
 
@@ -116,38 +118,111 @@ class DiffSweepStateTest : public ::testing::Test {
 
 int DiffSweepStateTest::counter_ = 0;
 
+/// Writes a state file for the grid with `fingerprint` holding `cells`, in
+/// the format run_diff_sweep rewrites after every cell.
+void write_state(const std::string& path, std::uint64_t fingerprint,
+                 const std::vector<DiffSweepCell>& cells) {
+  std::ofstream out(path);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  out << "mapit-diff-sweep-state-v1 " << hex << '\n';
+  for (const DiffSweepCell& c : cells) {
+    out << c.rate << ' ' << c.seed << ' ' << c.mapit.tp << ' ' << c.mapit.fp
+        << ' ' << c.mapit.fn << ' ' << c.simple.tp << ' ' << c.simple.fp
+        << ' ' << c.simple.fn << ' ' << c.convention.tp << ' '
+        << c.convention.fp << ' ' << c.convention.fn << ' '
+        << (c.converged ? 1 : 0) << ' ' << c.iterations << ' '
+        << c.inferences << '\n';
+  }
+}
+
 TEST_F(DiffSweepStateTest, ResumeReproducesFreshRun) {
+  DiffSweepOptions options;
+  options.rates = {0.0};
+  options.seeds = {7, 9};
+  const DiffSweepReport fresh = run_diff_sweep(options);
+  ASSERT_EQ(fresh.cells.size(), 2u);
+
+  // A sweep killed after its first cell: the state holds that cell only.
+  // The resume must take it from the state, compute the other one, and
+  // reproduce the fresh run's integers exactly.
+  write_state(state_path_, grid_fingerprint(options), {fresh.cells[0]});
+  std::ostringstream progress;
+  options.progress = &progress;
+  options.state_path = state_path_;
+  const DiffSweepReport resumed = run_diff_sweep(options);
+  EXPECT_EQ(resumed.cells, fresh.cells);
+  EXPECT_NE(progress.str().find("cell 1/2 rate=0 seed=7: resumed from state"),
+            std::string::npos);
+  EXPECT_EQ(progress.str().find("cell 2/2 rate=0 seed=9: resumed from state"),
+            std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(state_path_));
+}
+
+TEST_F(DiffSweepStateTest, CompletedSweepLeavesNoState) {
   DiffSweepOptions options;
   options.rates = {0.0};
   options.seeds = {7};
   options.state_path = state_path_;
-  const DiffSweepReport fresh = run_diff_sweep(options);
-  ASSERT_EQ(fresh.cells.size(), 1u);
-  ASSERT_TRUE(std::filesystem::exists(state_path_));
+  const DiffSweepReport first = run_diff_sweep(options);
+  EXPECT_FALSE(std::filesystem::exists(state_path_));
 
-  // Second run resumes every cell from the state file (no recompute) and
-  // must reproduce the exact same integers.
+  // The fingerprint pins the grid, not the code, so a second run must
+  // recompute every cell rather than resume a finished sweep.
   std::ostringstream progress;
   options.progress = &progress;
-  const DiffSweepReport resumed = run_diff_sweep(options);
-  EXPECT_EQ(resumed.cells, fresh.cells);
-  EXPECT_NE(progress.str().find("resumed from state"), std::string::npos);
+  const DiffSweepReport second = run_diff_sweep(options);
+  EXPECT_EQ(second.cells, first.cells);
+  EXPECT_EQ(progress.str().find("resumed from state"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(state_path_));
+}
+
+TEST_F(DiffSweepStateTest, StateHoldingEveryCellIsNotResumed) {
+  DiffSweepOptions options;
+  options.rates = {0.0};
+  options.seeds = {7};
+  options.state_path = state_path_;
+
+  // A complete state for this very grid, as an older build left behind
+  // after finishing: resuming it would run no engine at all.
+  DiffSweepCell bogus;
+  bogus.rate = 0.0;
+  bogus.seed = 7;
+  bogus.inferences = 1;
+  write_state(state_path_, grid_fingerprint(options), {bogus});
+
+  std::ostringstream progress;
+  options.progress = &progress;
+  const DiffSweepReport report = run_diff_sweep(options);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_NE(report.cells[0], bogus);
+  EXPECT_EQ(progress.str().find("resumed from state"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(state_path_));
 }
 
 TEST_F(DiffSweepStateTest, StaleGridStateIsDiscarded) {
   DiffSweepOptions options;
   options.rates = {0.0};
-  options.seeds = {7};
-  options.state_path = state_path_;
-  (void)run_diff_sweep(options);
-
-  // A different grid must not reuse the old state's cells.
   options.seeds = {9};
+  options.state_path = state_path_;
+
+  // State from a different grid ({0} x {7}) that even names this grid's
+  // cell, with integers no engine run produces: it must not be reused.
+  DiffSweepOptions stale = options;
+  stale.seeds = {7};
+  DiffSweepCell bogus;
+  bogus.rate = 0.0;
+  bogus.seed = 9;
+  bogus.inferences = 1;
+  write_state(state_path_, grid_fingerprint(stale), {bogus});
+
   std::ostringstream progress;
   options.progress = &progress;
   const DiffSweepReport report = run_diff_sweep(options);
   ASSERT_EQ(report.cells.size(), 1u);
   EXPECT_EQ(report.cells[0].seed, 9u);
+  EXPECT_NE(report.cells[0], bogus);
   EXPECT_EQ(progress.str().find("resumed from state"), std::string::npos);
 }
 

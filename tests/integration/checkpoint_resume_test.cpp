@@ -1,11 +1,12 @@
-// The checkpoint/resume headline guarantee (ISSUE acceptance criteria):
+// The checkpoint/resume headline guarantee:
 // stopping a run at ANY pass boundary, saving the engine state, and
 // resuming it in a fresh engine — same or different thread count — produces
 // byte-identical inferences, equal stats, and equal final mappings to an
 // uninterrupted run. Both experiment scales; the /Standard instantiations
 // carry the slow label. The file-level crash matrix for the checkpoint
 // artifact itself lives in tests/core/checkpoint_fault_test.cpp; the
-// process-level kill/resume chain through the real CLI is in tools/ci.sh.
+// process-level kill/resume chain through the real CLI is in
+// tests/cli/cli_test.cmake.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -158,7 +159,7 @@ TEST_P(CheckpointResumeTest, ParallelSaveResumesInSequentialEngine) {
 
 // Resume-of-resume: stop at every boundary in sequence, saving and
 // restoring through a real checkpoint FILE each leg — the in-process
-// version of the ci.sh kill/resume chain.
+// version of cli_end_to_end's kill/resume chain.
 TEST_P(CheckpointResumeTest, ChainedFileCheckpointsReachTheSameResult) {
   const eval::Experiment& exp = experiment(GetParam());
   core::Options options;

@@ -3,8 +3,7 @@
 // caps, clients that vanish mid-batch, stalled readers, and graceful drain
 // on stop — the AsyncServer's side of the contract in DESIGN.md §9 and
 // §12. The soak test at the end runs all of it at once and still expects
-// golden answers; the TSan CI job runs this whole binary (FAULT_MATRIX
-// stage).
+// golden answers; the TSan CI job runs this whole binary (label fault).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>

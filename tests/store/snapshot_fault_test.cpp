@@ -2,8 +2,7 @@
 // rename/fsync at ANY injected syscall of write_snapshot_file must leave
 // the destination path holding either the complete old artifact or the
 // complete new one — CRC-valid and fully readable — never a torn file.
-// This is the test the ISSUE's acceptance criteria pin; tools/ci.sh runs
-// it inside the SNAPSHOT_SMOKE stage as well as the FAULT_MATRIX stage.
+// Each CI build job runs it once, under the ctest label fault.
 #include "store/writer.h"
 
 #include <gtest/gtest.h>

@@ -3,14 +3,12 @@
 # anywhere; operates on the repo root. Behaviour is driven by env vars so
 # every job in .github/workflows/ci.yml calls this same script:
 #
-#   STAGES        comma/space-separated stage list. `configure` and `build`
-#                 always run first; the rest are selectable:
+#   STAGES        comma/space-separated stage list (default: test).
+#                 `configure` and `build` always run first; every other
+#                 stage runs only when listed, so each CI job names exactly
+#                 what it runs. Only `test` runs ctest; the rest are
+#                 checks no ctest case makes:
 #                   test       ctest (honours CTEST_LABELS)
-#                   fault      fault-injection matrices (ctest -L fault)
-#                   checkpoint kill/resume matrix through the real binary
-#                   bench      bench smoke + inference-count tripwire
-#                   snapshot   CLI snapshot + golden queries + CRLF cmp +
-#                              CRC tripwire
 #                   async      epoll server smoke over both wire protocols
 #                   ingest     streaming-ingest smoke: cold-vs-incremental
 #                              equivalence + kill-mid-journal resume
@@ -30,62 +28,15 @@
 #                              builds the benchmark from this checkout in
 #                              .bench_build/ and runs every workload at
 #                              tiny scale, so a graph or store signature
-#                              change cannot break it silently (only via
-#                              STAGES; no legacy toggle)
-#                 Unset: the legacy per-stage toggles below pick the set.
-#                 A stage-timing table is printed on exit either way.
+#                              change cannot break it silently
+#                 A stage-timing table is printed on exit.
 #   BUILD_TYPE    CMake build type (default RelWithDebInfo)
 #   SANITIZE      MAPIT_SANITIZE value, e.g. "address;undefined" or "thread"
 #                 (default: none)
 #   WERROR        MAPIT_WERROR, ON or OFF (default OFF)
-#   CTEST_LABELS  regex for ctest -L, e.g. "unit|integration" to skip the
-#                 slow standard-scale tests in sanitizer jobs (default: all)
-#   BENCH_SMOKE   1 = run the bench smoke + inference-count tripwire,
-#                 0 = skip, e.g. under sanitizers (default 1)
-#   SNAPSHOT_SMOKE 1 = build a snapshot through the CLI, run the canned
-#                 query batch against the committed golden answers, and
-#                 check the standard run's artifact CRC against the
-#                 committed BENCH_query.json (default: BENCH_SMOKE)
-#   FAULT_MATRIX  1 = run the fault-injection matrices (ctest -L fault):
-#                 crash-at-every-syscall artifact tests and the server
-#                 chaos/soak tests. Cheap; sanitizer jobs rely on it
-#                 (default 1)
-#   CHECKPOINT_MATRIX 1 = kill the CLI at every run boundary (--stop-after),
-#                 chain --resume until completion for threads 1 and 8, and
-#                 require byte-identical inferences vs an uninterrupted
-#                 run; also checks the deadline checkpoint-and-exit path
-#                 (default: FAULT_MATRIX)
-#   ASYNC_SMOKE   1 = boot `mapit serve` on a real snapshot and
-#                 replay the canned query batch over both wire protocols
-#                 (line and binary), diffing each response stream against
-#                 the committed golden answers; ends with a SIGTERM
-#                 graceful-drain check (default: SNAPSHOT_SMOKE)
-#   SUPERVISE_SMOKE 1 = boot a supervised two-worker serve fleet, kill -9
-#                 one worker mid-replay, and require zero failed golden
-#                 answers plus a recorded automatic restart; ends with a
-#                 SIGTERM cascade that must drain the fleet
-#                 (default: ASYNC_SMOKE)
-#   INGEST_SMOKE  1 = stream the tail of a seeded corpus through
-#                 `mapit ingest --drain` and require the published snapshot
-#                 to be byte-identical to a cold `mapit snapshot` over the
-#                 full corpus; then truncate the delta journal twice (deep
-#                 cut and torn frame) and re-ingest — every resume must
-#                 converge to the same bytes (default: SNAPSHOT_SMOKE)
-#   REMOTE_INGEST_SMOKE 1 = stream a delta corpus with `mapit send` into
-#                 `mapit ingest --listen` over the authenticated MDP1
-#                 transport, kill -9 the sender mid-stream twice and
-#                 restart it (the receiver's (session, seq) watermark must
-#                 drop every replayed batch), then require the published
-#                 snapshot and a journal-replay re-run to be byte-identical
-#                 to a cold `mapit snapshot` over base+delta; also checks
-#                 that a wrong shared secret is refused at HELLO with
-#                 exit 7 and no journal growth (default: INGEST_SMOKE)
-#   DIFF_SWEEP    1 = run the MAP-IT vs baselines sweep over the default
-#                 artifact-rate × seed grid and require exact agreement
-#                 with the committed DIFF_sweep.json (default: BENCH_SMOKE)
-#   FUZZ_SMOKE    1 = replay committed fuzz regressions, then fuzz every
-#                 harness for FUZZ_TIME seconds under ASan+UBSan. Needs
-#                 clang; see tools/fuzz.sh (default 0)
+#   CTEST_LABELS  regex for ctest -L, e.g. "unit|integration|fault" to skip
+#                 the slow standard-scale tests in sanitizer jobs
+#                 (default: all)
 #   FUZZ_TIME     seconds per fuzz target in the fuzz stage (default 60)
 #   BUILD_DIR     override the derived build directory
 #   JOBS          parallel build/test jobs (default: nproc)
@@ -96,16 +47,7 @@ BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}"
 SANITIZE="${SANITIZE:-}"
 WERROR="${WERROR:-OFF}"
 CTEST_LABELS="${CTEST_LABELS:-}"
-BENCH_SMOKE="${BENCH_SMOKE:-1}"
-SNAPSHOT_SMOKE="${SNAPSHOT_SMOKE:-${BENCH_SMOKE}}"
-FAULT_MATRIX="${FAULT_MATRIX:-1}"
-CHECKPOINT_MATRIX="${CHECKPOINT_MATRIX:-${FAULT_MATRIX}}"
-ASYNC_SMOKE="${ASYNC_SMOKE:-${SNAPSHOT_SMOKE}}"
-SUPERVISE_SMOKE="${SUPERVISE_SMOKE:-${ASYNC_SMOKE}}"
-INGEST_SMOKE="${INGEST_SMOKE:-${SNAPSHOT_SMOKE}}"
-REMOTE_INGEST_SMOKE="${REMOTE_INGEST_SMOKE:-${INGEST_SMOKE}}"
-DIFF_SWEEP="${DIFF_SWEEP:-${BENCH_SMOKE}}"
-FUZZ_SMOKE="${FUZZ_SMOKE:-0}"
+STAGES="${STAGES:-test}"
 FUZZ_TIME="${FUZZ_TIME:-60}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
@@ -179,175 +121,6 @@ stage_test() {
     ctest_args+=(-L "${CTEST_LABELS}")
   fi
   ctest "${ctest_args[@]}"
-}
-
-stage_fault() {
-  echo "== fault matrix (-L fault) =="
-  # Fault-injection matrices have their own label (and timeout) so the
-  # sanitizer jobs — whose CTEST_LABELS exclude them above — still run
-  # them: crash/ENOSPC/short-write at every syscall of the atomic artifact
-  # writer, and the query-server chaos/soak suite.
-  ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" -L fault
-}
-
-stage_checkpoint() {
-  echo "== checkpoint kill/resume matrix =="
-  # Kill-at-every-pass proof through the real binary: every invocation
-  # advances exactly one run boundary, checkpoints, and exits 5; the chain
-  # of --resume legs must converge to byte-identical inferences for every
-  # thread count, and a completed run must clean up its checkpoint.
-  local mapit_bin="${BUILD_DIR}/tools/mapit"
-  local work="${BUILD_DIR}/checkpoint_matrix"
-  rm -rf "${work}"
-  mkdir -p "${work}"
-  "${mapit_bin}" simulate --out "${work}" --seed 9
-  local inputs=(--traces "${work}/traces.txt" --rib "${work}/rib.txt"
-                --relationships "${work}/relationships.txt"
-                --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt")
-  "${mapit_bin}" run "${inputs[@]}" --threads 1 \
-    --output "${work}/reference.txt" \
-    --uncertain "${work}/reference_uncertain.txt"
-
-  local threads ckpt rc legs
-  for threads in 1 8; do
-    ckpt="${work}/ckpt-${threads}"
-    local flags=("${inputs[@]}" --threads "${threads}"
-                 --output "${work}/resumed-${threads}.txt"
-                 --uncertain "${work}/resumed-${threads}-uncertain.txt")
-    set +e
-    "${mapit_bin}" run "${flags[@]}" --checkpoint-dir "${ckpt}" \
-      --stop-after 1
-    rc=$?
-    legs=0
-    while [[ "${rc}" -eq 5 ]]; do
-      legs=$((legs + 1))
-      if [[ "${legs}" -gt 50 ]]; then
-        echo "resume chain did not terminate in 50 legs" >&2
-        exit 1
-      fi
-      "${mapit_bin}" run "${flags[@]}" --resume "${ckpt}" --stop-after 1
-      rc=$?
-    done
-    set -e
-    if [[ "${rc}" -ne 0 ]]; then
-      echo "resume leg exited ${rc} (threads=${threads})" >&2
-      exit 1
-    fi
-    if [[ "${legs}" -lt 2 ]]; then
-      echo "resume chain too short to prove anything (${legs} legs)" >&2
-      exit 1
-    fi
-    cmp "${work}/reference.txt" "${work}/resumed-${threads}.txt"
-    cmp "${work}/reference_uncertain.txt" \
-      "${work}/resumed-${threads}-uncertain.txt"
-    if [[ -e "${ckpt}/engine.ckpt" ]]; then
-      echo "completed run did not remove its checkpoint" >&2
-      exit 1
-    fi
-    echo "threads=${threads}: ${legs} resume legs, byte-identical: ok"
-  done
-
-  # Deadline supervision: an already-expired budget must checkpoint and
-  # exit 5 at the first boundary, leaving a valid checkpoint a plain
-  # --resume completes from — with the same bytes.
-  local dflags=("${inputs[@]}" --threads 1
-                --output "${work}/deadline.txt"
-                --uncertain "${work}/deadline_uncertain.txt")
-  set +e
-  "${mapit_bin}" run "${dflags[@]}" \
-    --checkpoint-dir "${work}/ckpt-deadline" --deadline 0.000001
-  rc=$?
-  set -e
-  if [[ "${rc}" -ne 5 ]]; then
-    echo "expired deadline should exit 5, got ${rc}" >&2
-    exit 1
-  fi
-  "${mapit_bin}" run "${dflags[@]}" --resume "${work}/ckpt-deadline"
-  cmp "${work}/reference.txt" "${work}/deadline.txt"
-  echo "deadline checkpoint-and-exit + resume: ok"
-}
-
-stage_bench() {
-  echo "== bench smoke =="
-  # Minimal measurement time: checks the bench binaries run, not their
-  # numbers.
-  "${BUILD_DIR}/bench/perf_micro" --benchmark_min_time=0.01
-
-  echo "== inference-count tripwire =="
-  # perf_engine_report re-runs the standard experiment; its inference count
-  # must match the committed BENCH_engine.json. A drift means the engine's
-  # output changed — that must be a deliberate, reviewed update of the
-  # committed report, never a side effect.
-  local report="${BUILD_DIR}/bench_smoke_report.json"
-  "${BUILD_DIR}/bench/perf_engine_report" --reps 1 --threads 1,2 \
-    --out "${report}"
-  python3 - "${report}" "${REPO_ROOT}/BENCH_engine.json" <<'EOF'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-got, want = fresh["standard_inferences"], committed["standard_inferences"]
-if got != want:
-    sys.exit(f"standard_inferences drifted: got {got}, committed {want}")
-print(f"standard_inferences == {want}: ok")
-EOF
-}
-
-stage_snapshot() {
-  echo "== snapshot smoke =="
-  # Build a snapshot through the CLI from seeded synthetic datasets, answer
-  # the committed canned query batch, and diff against the committed golden
-  # answers. The batch ends with `stats`, whose answer embeds the artifact's
-  # CRC — so byte-determinism drift, format drift, and engine-output drift
-  # all fail this diff, not just protocol regressions.
-  local mapit_bin="${BUILD_DIR}/tools/mapit"
-  local work="${BUILD_DIR}/snapshot_smoke"
-  rm -rf "${work}"
-  mkdir -p "${work}"
-  "${mapit_bin}" simulate --out "${work}" --seed 9
-  "${mapit_bin}" snapshot \
-    --traces "${work}/traces.txt" --rib "${work}/rib.txt" \
-    --relationships "${work}/relationships.txt" \
-    --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
-    --out "${work}/snapshot.bin"
-  "${mapit_bin}" query "${work}/snapshot.bin" \
-    < "${REPO_ROOT}/tests/cli/golden_queries.txt" > "${work}/answers.txt"
-  diff -u "${REPO_ROOT}/tests/cli/golden_answers.txt" "${work}/answers.txt"
-  echo "golden query answers: ok"
-
-  echo "== snapshot from a CRLF corpus =="
-  # The same traces with CRLF line endings must give the same bytes.
-  sed 's/$/\r/' "${work}/traces.txt" > "${work}/traces_crlf.txt"
-  "${mapit_bin}" snapshot \
-    --traces "${work}/traces_crlf.txt" --rib "${work}/rib.txt" \
-    --relationships "${work}/relationships.txt" \
-    --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
-    --out "${work}/snapshot_crlf.bin"
-  cmp "${work}/snapshot.bin" "${work}/snapshot_crlf.bin"
-  echo "CRLF snapshot == LF snapshot: ok"
-
-  echo "== snapshot crash matrix =="
-  # Crash-at-every-injection-point proof for the artifact the smoke above
-  # just consumed: whatever syscall dies mid-replace, the destination path
-  # must still hold a complete, CRC-valid snapshot.
-  "${BUILD_DIR}/tests/mapit_store_fault_test"
-
-  echo "== snapshot checksum tripwire (standard run) =="
-  # perf_query_report rebuilds the standard experiment's snapshot; its CRC
-  # and inference count must match the committed BENCH_query.json. Any
-  # change to the engine's output or the artifact encoding must arrive as a
-  # deliberate update of the committed report.
-  local query_report="${BUILD_DIR}/snapshot_smoke_report.json"
-  "${BUILD_DIR}/bench/perf_query_report" --reps 1 --out "${query_report}"
-  python3 - "${query_report}" "${REPO_ROOT}/BENCH_query.json" <<'EOF'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-for key in ("snapshot_crc32", "snapshot_bytes", "standard_inferences"):
-    got, want = fresh[key], committed[key]
-    if got != want:
-        sys.exit(f"{key} drifted: got {got}, committed {want}")
-    print(f"{key} == {want}: ok")
-EOF
 }
 
 stage_async() {
@@ -775,7 +548,8 @@ stage_sweep() {
   # the fresh integers must agree exactly with the committed
   # DIFF_sweep.json (the pipeline is seeded and thread-invariant, so any
   # disagreement is real drift). Resumable: a killed sweep continues at
-  # the first unfinished cell through the state file.
+  # the first unfinished cell through the state file, which a completed
+  # sweep removes, so every finished run recomputes all cells.
   MAPIT_BIN="${BUILD_DIR}/tools/mapit" \
     SWEEP_STATE="${BUILD_DIR}/diff_sweep.state" \
     "${REPO_ROOT}/tools/diff_sweep.sh"
@@ -800,35 +574,19 @@ stage_perfbench() {
 }
 
 # ---------------------------------------------------------------------------
-# Stage selection: STAGES wins; otherwise derive the list from the legacy
-# per-stage toggles so existing CI jobs keep working unchanged.
-if [[ -n "${STAGES:-}" ]]; then
-  SELECTED=()
-  for stage in $(echo "${STAGES}" | tr ',' ' '); do
-    case "${stage}" in
-      configure|build) ;;  # always run; listed for convenience
-      test|fault|checkpoint|bench|snapshot|async|ingest|remote|supervise|sweep|fuzz|perfbench)
-        SELECTED+=("${stage}") ;;
-      *)
-        echo "ci.sh: unknown stage '${stage}' (valid: test fault checkpoint" \
-             "bench snapshot async ingest remote supervise sweep fuzz" \
-             "perfbench)" >&2
-        exit 2 ;;
-    esac
-  done
-else
-  SELECTED=(test)
-  if [[ "${FAULT_MATRIX}" == "1" ]]; then SELECTED+=(fault); fi
-  if [[ "${CHECKPOINT_MATRIX}" == "1" ]]; then SELECTED+=(checkpoint); fi
-  if [[ "${BENCH_SMOKE}" == "1" ]]; then SELECTED+=(bench); fi
-  if [[ "${SNAPSHOT_SMOKE}" == "1" ]]; then SELECTED+=(snapshot); fi
-  if [[ "${ASYNC_SMOKE}" == "1" ]]; then SELECTED+=(async); fi
-  if [[ "${SUPERVISE_SMOKE}" == "1" ]]; then SELECTED+=(supervise); fi
-  if [[ "${INGEST_SMOKE}" == "1" ]]; then SELECTED+=(ingest); fi
-  if [[ "${REMOTE_INGEST_SMOKE}" == "1" ]]; then SELECTED+=(remote); fi
-  if [[ "${DIFF_SWEEP}" == "1" ]]; then SELECTED+=(sweep); fi
-  if [[ "${FUZZ_SMOKE}" == "1" ]]; then SELECTED+=(fuzz); fi
-fi
+# Stage selection: validate the whole list before anything runs.
+SELECTED=()
+for stage in $(echo "${STAGES}" | tr ',' ' '); do
+  case "${stage}" in
+    configure|build) ;;  # always run; listed for convenience
+    test|async|ingest|remote|supervise|sweep|fuzz|perfbench)
+      SELECTED+=("${stage}") ;;
+    *)
+      echo "ci.sh: unknown stage '${stage}' (valid: test async ingest" \
+           "remote supervise sweep fuzz perfbench)" >&2
+      exit 2 ;;
+  esac
+done
 
 run_stage configure
 run_stage build

@@ -13,7 +13,8 @@
 #   SWEEP_RATES  comma-separated artifact-rate multipliers (default 0,0.5,1)
 #   SWEEP_SEEDS  comma-separated experiment seeds (default 7,9)
 #   SWEEP_STATE  resumable state file; a killed sweep picks up at the
-#                first unfinished cell (default: <build>/diff_sweep.state)
+#                first unfinished cell, a completed one removes it
+#                (default: <build>/diff_sweep.state)
 #   SWEEP_THREADS engine worker threads (default 1; output-invariant)
 set -euo pipefail
 

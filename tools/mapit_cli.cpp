@@ -123,7 +123,8 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "      emits a deterministic JSON report (default rates 0,0.5,1\n"
       "      and seeds 7,9)\n"
       "      --state FILE           resumable cell state (atomic rewrite\n"
-      "                             per cell; stale grids are discarded)\n"
+      "                             per cell; stale grids are discarded;\n"
+      "                             removed once every cell is done)\n"
       "      --baseline FILE        compare against a committed report;\n"
       "                             any integer-field drift exits 1\n"
       "      --threads N            engine workers (output-invariant)\n"
